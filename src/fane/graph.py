@@ -213,7 +213,9 @@ def load_attributes(source, g: AttributedGraph, fmt: str = "sparse", n_attrs: in
                     raise GraphFormatError(f"attribute line {lineno}: negative attribute index")
                 if n_attrs is not None and a >= n_attrs:
                     raise GraphFormatError(f"attribute line {lineno}: attribute index {a} >= {n_attrs}")
-                if x < 0 or not np.isfinite(x):
+                if not np.isfinite(x):
+                    raise GraphFormatError(f"attribute line {lineno}: non-finite value {x}")
+                if x < 0:
                     raise GraphFormatError(f"attribute line {lineno}: negative value {x}")
                 if x == 0.0:
                     raise GraphFormatError(f"attribute line {lineno}: zero values must not be stored")
@@ -248,7 +250,9 @@ def load_attributes(source, g: AttributedGraph, fmt: str = "sparse", n_attrs: in
                         x = float(tok)
                     except ValueError:
                         raise GraphFormatError(f"attribute line {lineno}: bad value {tok!r}") from None
-                    if x < 0 or not np.isfinite(x):
+                    if not np.isfinite(x):
+                        raise GraphFormatError(f"attribute line {lineno}: non-finite value {x}")
+                    if x < 0:
                         raise GraphFormatError(f"attribute line {lineno}: negative value {x}")
                     if x > 0.0:
                         nodes.append(row)

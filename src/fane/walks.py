@@ -6,11 +6,13 @@ according to the strategy (sf: source is an attribute node, tf: target is,
 stf: either is) and otherwise falls back to the return/in-out kernel
 beta: 1/p if x == u, 1 if x is adjacent to u, else 1/q.
 
-Sampling uses alias tables precomputed for every directed edge (u -> v)
-with deg(v) <= tau; remaining states are sampled on demand. Each walk
-draws its randomness from a dedicated counter window of a Philox stream
-keyed by (seed, iteration), so corpora are reproducible and independent
-of worker scheduling.
+Sampling uses alias tables precomputed for every state (u -> v) with
+deg(v) <= tau, built in one batched pass: states grouped by deg(v) run
+through Vose's construction in lockstep, in chunks of a fixed number of
+entries. Remaining states are sampled on demand. Each walk draws its
+randomness from a dedicated counter window of a Philox stream keyed by
+(seed, iteration), so corpora are reproducible and independent of worker
+scheduling.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alias import build_alias
 from .graph import AugmentedGraph
 
 SF = "sf"
@@ -32,6 +33,9 @@ SENTINEL_START = -1
 
 # sub-stream tags for the non-walk generators (shuffle order)
 _ORDER_STREAM = 1
+
+# table entries per chunk of the batched alias build; bounds its temporaries
+_CHUNK_ENTRIES = 1 << 16
 
 
 class TransitionMemoryError(RuntimeError):
@@ -65,79 +69,42 @@ class WalkParams:
             raise ValueError("beta_graph must be 'augmented' or 'raw'")
 
 
-def beta(g: AugmentedGraph, u: int, v: int, x: int, p: float, q: float,
-         beta_graph: str = "augmented") -> float:
-    """Return/in-out kernel for target x given previous node u (scalar form)."""
-    if x == u:
-        return 1.0 / p
-    if beta_graph == "raw":
-        adjacent = u < g.n_raw and x < g.n_raw and g.has_edge(u, x)
-    else:
-        adjacent = g.has_edge(u, x)
-    return 1.0 if adjacent else 1.0 / q
+def _scores(params: WalkParams, n_raw: int, x: np.ndarray, w: np.ndarray, v_attr,
+            u=None, adj=None) -> np.ndarray:
+    """Unnormalized scores w(v,x) * alpha over neighbors x of v, for one state
+    (scalar u, v_attr) or rows of states (u, v_attr of shape (rows, 1)).
 
-
-def alpha(g: AugmentedGraph, strategy: str, u: int, v: int, x: int,
-          p: float, q: float, r: float, beta_graph: str = "augmented") -> float:
-    """Strategy bias for target x from source v arrived-from u (scalar form)."""
-    v_attr = v >= g.n_raw
-    x_attr = x >= g.n_raw
-    if strategy == SF:
-        return 1.0 / r if v_attr else beta(g, u, v, x, p, q, beta_graph)
-    if strategy == TF:
-        return 1.0 / r if x_attr else beta(g, u, v, x, p, q, beta_graph)
-    if strategy == STF:
-        return 1.0 / r if (v_attr or x_attr) else beta(g, u, v, x, p, q, beta_graph)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _pi_first(g: AugmentedGraph, params: WalkParams, v: int) -> np.ndarray:
-    """Unnormalized first-step scores: w(v,x) * gamma(x).
-
-    gamma is 1/r when the strategy would damp this move mid-walk (tf/stf and
-    x is an attribute node, or sf/stf and v is), else 1; with r = 1 the first
-    step degenerates to the weighted-uniform start the (p, q)-only walk uses.
+    ``adj`` marks x adjacent to u. u=None scores a first step, w * gamma:
+    gamma is 1/r where the strategy would damp the move mid-walk, else 1, so
+    at r = 1 the first step is the weighted-uniform start of node2vec.
     """
-    s, e = g.indptr[v], g.indptr[v + 1]
-    nbrs = g.neighbors[s:e]
-    w = g.weights[s:e]
-    damp = np.zeros(len(nbrs), bool)
-    if params.strategy in (TF, STF):
-        damp |= nbrs >= g.n_raw
-    if params.strategy in (SF, STF) and v >= g.n_raw:
-        damp[:] = True
-    gamma = np.ones(len(nbrs))
-    gamma[damp] = 1.0 / params.r
-    return w * gamma
-
-
-def _pi_step(g: AugmentedGraph, params: WalkParams, u: int, v: int) -> np.ndarray:
-    """Unnormalized second-order scores over neighbors of v, previous node u."""
-    s, e = g.indptr[v], g.indptr[v + 1]
-    nbrs = g.neighbors[s:e]
-    w = g.weights[s:e]
-    v_attr = v >= g.n_raw
-    if params.strategy == SF and v_attr:
-        return w / params.r
-    if params.strategy == STF and v_attr:
-        return w / params.r
-    adj = g.has_edge(u, nbrs)
+    x_attr = x >= n_raw
+    strat = params.strategy
+    if u is None:
+        damp = (x_attr & (strat in (TF, STF))) | (v_attr & (strat in (SF, STF)))
+        return w * np.where(damp, 1.0 / params.r, 1.0)
     if params.beta_graph == "raw":
-        adj = adj & (nbrs < g.n_raw) & (u < g.n_raw)
-    a = np.full(len(nbrs), 1.0 / params.q)
-    a[adj] = 1.0
-    a[nbrs == u] = 1.0 / params.p
-    if params.strategy in (TF, STF):
-        a[nbrs >= g.n_raw] = 1.0 / params.r
+        adj = adj & ~x_attr & (u < n_raw)
+    a = np.where(adj, 1.0, 1.0 / params.q)
+    a[x == u] = 1.0 / params.p
+    if strat in (TF, STF):
+        a[x_attr] = 1.0 / params.r
+    if strat in (SF, STF):
+        return np.where(v_attr, w / params.r, w * a)
     return w * a
+
+
+def _pi(g: AugmentedGraph, params: WalkParams, u: int, v: int) -> np.ndarray:
+    """Scores of the state (u, v); u = SENTINEL_START for a first step."""
+    x, w = g.neighbor_slice(v)
+    if u == SENTINEL_START:
+        return _scores(params, g.n_raw, x, w, v >= g.n_raw)
+    return _scores(params, g.n_raw, x, w, v >= g.n_raw, u, g.has_edge(u, x))
 
 
 def first_step_distribution(g: AugmentedGraph, params: WalkParams, v: int) -> np.ndarray:
     """Normalized first-step distribution over the (sorted) neighbors of v."""
-    pi = _pi_first(g, params, v)
-    if len(pi) == 0:
-        raise ValueError(f"node {v} has no neighbors")
-    return pi / pi.sum()
+    return transition_distribution(g, params, SENTINEL_START, v)
 
 
 def transition_distribution(g: AugmentedGraph, params: WalkParams, u: int, v: int) -> np.ndarray:
@@ -146,9 +113,7 @@ def transition_distribution(g: AugmentedGraph, params: WalkParams, u: int, v: in
     u = SENTINEL_START selects the first-step distribution. The vector is
     aligned with g.neighbor_slice(v)[0], ascending unified ids.
     """
-    if u == SENTINEL_START:
-        return first_step_distribution(g, params, v)
-    pi = _pi_step(g, params, u, v)
+    pi = _pi(g, params, u, v)
     if len(pi) == 0:
         raise ValueError(f"node {v} has no neighbors")
     return pi / pi.sum()
@@ -182,54 +147,46 @@ def preprocess_transitions(g: AugmentedGraph, params: WalkParams, tau: int = 102
                            max_entries: int = 100_000_000) -> TransitionModel:
     """Build alias tables for all states sampling over nodes of degree <= tau.
 
-    Raises TransitionMemoryError with guidance when the tables would exceed
-    ``max_entries`` stored entries; lower tau (tau=0 is fully on-demand).
+    Each node v with deg(v) <= tau gets a first-step table and each edge
+    (u -> v) one over N(v), equal bit for bit to ``build_alias`` of the
+    state's distribution. States of one deg(v) are built in lockstep,
+    ``_CHUNK_ENTRIES // deg(v)`` at a time, so besides the tables memory holds
+    a few ``_CHUNK_ENTRIES``-sized arrays and a few int64 per directed edge;
+    with no such node (as at tau=0) no edge is visited.
+
+    Raises TransitionMemoryError, naming the largest tau that fits, when the
+    tables would exceed ``max_entries`` entries (tau=0 is fully on-demand).
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
     deg = np.diff(g.indptr)
+    if not deg.all():
+        raise ValueError(f"node {int(np.argmin(deg))} has no neighbors")
     small = deg <= tau
     node_entries = int(deg[small].sum())
     edge_entries = int((deg[small] * deg[small]).sum())
     if node_entries + edge_entries > max_entries:
+        d = np.sort(deg[small])
+        fit = int(d[np.searchsorted(np.cumsum(d + d * d), max_entries, side="right")]) - 1
         raise TransitionMemoryError(
-            f"precomputing needs {node_entries + edge_entries} table entries "
-            f"(> budget {max_entries}); lower tau (currently {tau}) or use tau=0 "
-            f"for fully on-demand sampling"
-        )
+            f"precomputing needs {node_entries + edge_entries} table entries (> budget {max_entries}); "
+            f"lower tau (currently {tau}) to {fit} or less, or use tau=0 for fully on-demand sampling")
 
-    n_total = g.n_total
-    node_off = np.full(n_total, -1, np.int64)
+    node_off = np.full(g.n_total, -1, np.int64)
     node_accept = np.empty(node_entries, np.float64)
     node_alias = np.empty(node_entries, np.int32)
-    pos = 0
-    for v in np.nonzero(small)[0]:
-        pi = _pi_first(g, params, int(v))
-        acc, ali = build_alias(pi / pi.sum())
-        d = len(acc)
-        node_off[v] = pos
-        node_accept[pos:pos + d] = acc
-        node_alias[pos:pos + d] = ali
-        pos += d
-
-    edge_off = np.full(len(g.neighbors), -1, np.int64)
+    edge_off = np.full(int(g.indptr[-1]), -1, np.int64)
     edge_accept = np.empty(edge_entries, np.float64)
     edge_alias = np.empty(edge_entries, np.int32)
-    pos = 0
-    indptr = g.indptr
-    nbr = g.neighbors
-    for u in range(n_total):
-        for e in range(indptr[u], indptr[u + 1]):
-            v = int(nbr[e])
-            if not small[v]:
-                continue
-            pi = _pi_step(g, params, int(u), v)
-            acc, ali = build_alias(pi / pi.sum())
-            d = len(acc)
-            edge_off[e] = pos
-            edge_accept[pos:pos + d] = acc
-            edge_alias[pos:pos + d] = ali
-            pos += d
+    if node_entries:
+        nodes = np.flatnonzero(small)
+        node_off[nodes] = np.cumsum(deg[nodes]) - deg[nodes]
+        _fill_tables(g, params, None, nodes, node_off[nodes], node_accept, node_alias)
+        edges = np.flatnonzero(small[g.neighbors])
+        cur = g.neighbors[edges].astype(np.int64)
+        edge_off[edges] = np.cumsum(deg[cur]) - deg[cur]
+        prev = np.searchsorted(g.indptr, edges, side="right") - 1
+        _fill_tables(g, params, prev, cur, edge_off[edges], edge_accept, edge_alias)
 
     return TransitionModel(
         params=params, tau=tau,
@@ -238,21 +195,90 @@ def preprocess_transitions(g: AugmentedGraph, params: WalkParams, tau: int = 102
     )
 
 
-def _iteration_uniforms(seed: int, iteration: int, n_rows: int, walk_length: int) -> np.ndarray:
-    """Uniform block for one iteration; row v is the stream of the walk at v.
+def _fill_tables(g: AugmentedGraph, params: WalkParams, prev: np.ndarray | None, cur: np.ndarray,
+                 off: np.ndarray, accept: np.ndarray, alias: np.ndarray) -> None:
+    """Write the alias table of state (prev[i] -> cur[i]) at off[i]; prev=None for first steps."""
+    if prev is not None:
+        # CSR order is (source, target) order, so these keys come sorted
+        keys = np.repeat(np.arange(g.n_total, dtype=np.int64) * g.n_total, np.diff(g.indptr))
+        keys += g.neighbors
+    d_cur = np.diff(g.indptr)[cur]
+    order = np.argsort(d_cur, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(d_cur[order])) + 1):
+        d = int(d_cur[group[0]])
+        cols = np.arange(d)
+        step = max(1, _CHUNK_ENTRIES // d)
+        for i in range(0, len(group), step):
+            rows = group[i:i + step]
+            at = g.indptr[cur[rows]][:, None] + cols
+            x = g.neighbors[at]
+            u = adj = None
+            if prev is not None:
+                u = prev[rows][:, None]
+                ux = u * g.n_total + x
+                adj = keys[np.minimum(np.searchsorted(keys, ux), len(keys) - 1)] == ux
+            pi = _scores(params, g.n_raw, x, g.weights[at], (cur[rows] >= g.n_raw)[:, None], u, adj)
+            dst = off[rows][:, None] + cols
+            accept[dst], alias[dst] = _alias_rows(pi / pi.sum(axis=1, keepdims=True))
+
+
+def _alias_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``build_alias`` of every row of ``probs`` at once, bit for bit.
+
+    Each row's small and large stacks are filled in index order and popped
+    from the end, as in ``build_alias``. They share one array, small first:
+    neither outgrows its start, since a step pops s and l, then puts l where
+    s was or leaves it on top of the large stack.
+    """
+    n_rows, d = probs.shape
+    scaled = (probs * d).ravel()
+    accept = np.ones(n_rows * d)
+    alias = np.tile(np.arange(d, dtype=np.int32), n_rows)
+    large = (scaled >= 1.0).reshape(n_rows, d)
+    base = np.arange(0, n_rows * d, d)
+    stack = (np.argsort(large, axis=1, kind="stable") + base[:, None]).ravel()
+    floor = base + d - large.sum(axis=1)   # bottom of the large stack
+    sp = floor - 1                         # top of the small stack
+    lp = base + d - 1                      # top of the large stack
+    while True:
+        live = (sp >= base) & (lp >= floor)
+        if not live.all():
+            sp, lp, base, floor = sp[live], lp[live], base[live], floor[live]
+        if not len(sp):
+            return accept.reshape(n_rows, d), alias.reshape(n_rows, d)
+        s = stack[sp]
+        l = stack[lp]
+        accept[s] = scaled[s]
+        alias[s] = l - base
+        rest = (scaled[l] + scaled[s]) - 1.0
+        scaled[l] = rest
+        down = rest < 1.0
+        stack[sp[down]] = l[down]
+        lp = lp - down
+        sp = sp - ~down
+
+
+def _philox(seed: int, iteration: int) -> np.random.Generator:
+    """Philox stream of one iteration; read as an (n_total, 2(l-1)) uniform
+    block, row v is the stream of the walk at v.
 
     Philox is counter-based: row v occupies a fixed counter window, which is
     what makes per-walk randomness independent of batching and scheduling.
     """
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, iteration & 0xFFFFFFFFFFFFFFFF], np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random((n_rows, 2 * (walk_length - 1)))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_on_demand(pi: np.ndarray, u1: float) -> int:
+def _alias_draw(accept: np.ndarray, alias: np.ndarray, off, d, u1, u2) -> np.ndarray:
+    """Positions drawn from the tables at ``off``: column j by u1, kept if u2 < accept."""
+    j = np.minimum((u1 * d).astype(np.int64), d - 1)
+    at = off + j
+    return np.where(u2 < accept[at], j, alias[at])
+
+
+def _sample_on_demand(pi: np.ndarray, u1):
     cdf = np.cumsum(pi)
-    j = int(np.searchsorted(cdf, u1 * cdf[-1], side="right"))
-    return min(j, len(pi) - 1)
+    return np.minimum(np.searchsorted(cdf, u1 * cdf[-1], side="right"), len(pi) - 1)
 
 
 def _walk_batch_impl(g: AugmentedGraph, model: TransitionModel, starts: np.ndarray,
@@ -261,9 +287,7 @@ def _walk_batch_impl(g: AugmentedGraph, model: TransitionModel, starts: np.ndarr
     params = model.params
     l = params.walk_length
     B = len(starts)
-    indptr = g.indptr
-    nbr = g.neighbors
-    deg = np.diff(indptr)
+    deg = np.diff(g.indptr)
 
     walks = np.empty((B, l), np.int32)
     walks[:, 0] = starts
@@ -275,40 +299,19 @@ def _walk_batch_impl(g: AugmentedGraph, model: TransitionModel, starts: np.ndarr
         u1 = ublock[:, 2 * s]
         u2 = ublock[:, 2 * s + 1]
         idx = np.empty(B, np.int64)
-
         first = edge < 0
-        if first.any():
-            f = np.nonzero(first)[0]
-            offs = model.node_off[cur[f]]
+        for rows, offs, accept, alias in (
+                (np.flatnonzero(first), model.node_off[cur[first]], model.node_accept, model.node_alias),
+                (np.flatnonzero(~first), model.edge_off[edge[~first]], model.edge_accept, model.edge_alias)):
             pre = offs >= 0
-            if pre.any():
-                sel = f[pre]
-                d = deg[cur[sel]]
-                j = np.minimum((u1[sel] * d).astype(np.int64), d - 1)
-                at = offs[pre] + j
-                take = u2[sel] < model.node_accept[at]
-                idx[sel] = np.where(take, j, model.node_alias[at])
-            for i in f[~pre]:
-                idx[i] = _sample_on_demand(_pi_first(g, params, int(cur[i])), u1[i])
+            sel = rows[pre]
+            idx[sel] = _alias_draw(accept, alias, offs[pre], deg[cur[sel]], u1[sel], u2[sel])
+            for i in rows[~pre]:
+                idx[i] = _sample_on_demand(_pi(g, params, int(prev[i]), int(cur[i])), u1[i])
 
-        rest = ~first
-        if rest.any():
-            t = np.nonzero(rest)[0]
-            offs = model.edge_off[edge[t]]
-            pre = offs >= 0
-            if pre.any():
-                sel = t[pre]
-                d = deg[cur[sel]]
-                j = np.minimum((u1[sel] * d).astype(np.int64), d - 1)
-                at = offs[pre] + j
-                take = u2[sel] < model.edge_accept[at]
-                idx[sel] = np.where(take, j, model.edge_alias[at])
-            for i in t[~pre]:
-                idx[i] = _sample_on_demand(_pi_step(g, params, int(prev[i]), int(cur[i])), u1[i])
-
-        edge = indptr[cur] + idx
+        edge = g.indptr[cur] + idx
         prev = cur
-        cur = nbr[edge].astype(np.int64)
+        cur = g.neighbors[edge].astype(np.int64)
         walks[:, s + 1] = cur
 
     return walks
@@ -331,21 +334,13 @@ def sample_next(g: AugmentedGraph, model: TransitionModel, u: int, v: int,
     rng = np.random.default_rng(seed)
     u1 = rng.random(n_samples)
     u2 = rng.random(n_samples)
-    d = g.degree(v)
     if u == SENTINEL_START:
-        off = int(model.node_off[v])
-        pi = _pi_first(g, model.params, v)
+        off, tables = int(model.node_off[v]), (model.node_accept, model.node_alias)
     else:
-        off = int(model.edge_off[edge_csr_index(g, u, v)])
-        pi = _pi_step(g, model.params, u, v)
+        off, tables = int(model.edge_off[edge_csr_index(g, u, v)]), (model.edge_accept, model.edge_alias)
     if off >= 0:
-        j = np.minimum((u1 * d).astype(np.int64), d - 1)
-        take = u2 < (model.node_accept if u == SENTINEL_START else model.edge_accept)[off + j]
-        alias = (model.node_alias if u == SENTINEL_START else model.edge_alias)[off + j]
-        return np.where(take, j, alias)
-    cdf = np.cumsum(pi)
-    j = np.searchsorted(cdf, u1 * cdf[-1], side="right")
-    return np.minimum(j, d - 1)
+        return _alias_draw(*tables, off, g.degree(v), u1, u2)
+    return _sample_on_demand(_pi(g, model.params, u, v), u1)
 
 
 def generate_walk(g: AugmentedGraph, model: TransitionModel, start: int,
@@ -353,8 +348,14 @@ def generate_walk(g: AugmentedGraph, model: TransitionModel, start: int,
     """One walk from ``start``; identical to the corresponding corpus row."""
     if g.degree(start) == 0:
         raise ValueError(f"start node {start} has no neighbors")
-    u = _iteration_uniforms(model.params.seed, iteration, g.n_total, model.params.walk_length)
-    return _walk_batch_impl(g, model, np.array([start], np.int64), u[start:start + 1])[0]
+    # row ``start`` of the iteration's uniform block: each Philox counter
+    # yields four doubles, so skip whole counters, then the head of one
+    n = 2 * (model.params.walk_length - 1)
+    skip, head = divmod(int(start) * n, 4)
+    gen = _philox(model.params.seed, iteration)
+    gen.bit_generator.advance(skip)
+    u = gen.random(head + n)[head:]
+    return _walk_batch_impl(g, model, np.array([start], np.int64), u[None, :])[0]
 
 
 @dataclass
@@ -362,7 +363,6 @@ class Corpus:
     """Walk corpus in canonical (iteration, start id) order."""
 
     walks: np.ndarray           # (n_walks, walk_length) int32 unified ids
-    starts: np.ndarray          # start node per row
     walks_per_node: int
     n_raw: int
     attr_ids: np.ndarray        # attribute node slot -> AttrId (for rendering)
@@ -429,7 +429,7 @@ def generate_corpus(g: AugmentedGraph, model: TransitionModel, workers: int = 1,
     all_walks = np.empty((params.walks_per_node * n_starts, l), np.int32)
 
     for it in range(params.walks_per_node):
-        ublock = _iteration_uniforms(params.seed, it, n_total, l)
+        ublock = _philox(params.seed, it).random((n_total, 2 * (l - 1)))
         order = np.random.default_rng((params.seed, _ORDER_STREAM, it)).permutation(starts)
         chunks = [order[i:i + batch_size] for i in range(0, n_starts, batch_size)]
         base = it * n_starts
@@ -447,7 +447,6 @@ def generate_corpus(g: AugmentedGraph, model: TransitionModel, workers: int = 1,
 
     return Corpus(
         walks=all_walks,
-        starts=np.tile(starts, params.walks_per_node),
         walks_per_node=params.walks_per_node,
         n_raw=g.n_raw,
         attr_ids=g.attr_ids.copy(),

@@ -96,6 +96,15 @@ def test_sparse_attribute_errors():
         load_attributes(io.StringIO("0 1\n0 1 2.0\n"), g)
 
 
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+def test_attribute_non_finite_value(token):
+    g = _path_graph()
+    with pytest.raises(GraphFormatError, match="line 2: non-finite value"):
+        load_attributes(io.StringIO(f"0 0\n1 0 {token}\n"), g)
+    with pytest.raises(GraphFormatError, match="line 2: non-finite value"):
+        load_attributes(io.StringIO(f"1 0 1\n0 {token} 1\n"), g, fmt="dense")
+
+
 def test_dense_attribute_errors():
     g = _path_graph()
     with pytest.raises(GraphFormatError, match="columns"):

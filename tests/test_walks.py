@@ -1,18 +1,25 @@
+import dataclasses
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fane import (SF, STF, TF, WalkParams, build_augmented, generate_corpus,
                   generate_walk, load_attributes, load_edge_list,
                   preprocess_transitions, transition_distribution,
                   first_step_distribution)
-from fane.walks import (SENTINEL_START, TransitionMemoryError, alpha, beta,
+from fane.graph import AttributedGraph
+from fane.walks import (SENTINEL_START, STRATEGIES, TransitionMemoryError,
                         edge_csr_index, sample_next)
 from conftest import random_raw_graph
 from oracles import node2vec_reference as n2v
+from oracles.per_state_tables import per_state_tables
+from oracles.scalar_kernels import alpha, beta
 from oracles.stat_helpers import chisquare_gof_pvalue, two_sample_chi2_pvalue
 
 HAND_TABLE = json.loads(
@@ -187,6 +194,97 @@ def test_memory_budget_error(five_node_graph):
         preprocess_transitions(five_node_graph, WalkParams(), tau=1024, max_entries=3)
 
 
+def test_no_table_node_reads_no_edge(five_node_graph):
+    """With no node of degree 1..tau, preprocessing never touches an edge."""
+    g = dataclasses.replace(five_node_graph, neighbors=None, weights=None)
+    for tau in (0, 1):   # every degree here is >= 2
+        model = preprocess_transitions(g, WalkParams(), tau=tau)
+        assert model.n_precomputed_entries == 0
+        assert len(model.edge_off) == five_node_graph.indptr[-1]
+        assert np.all(model.edge_off < 0) and np.all(model.node_off < 0)
+
+
+def test_node_without_neighbors_rejected():
+    ag = build_augmented(load_edge_list(io.StringIO("0 1\n1 2\n3 3\n")))
+    for tau in (0, 16):
+        with pytest.raises(ValueError, match="node 3 has no neighbors"):
+            preprocess_transitions(ag, WalkParams(), tau=tau)
+
+
+def test_memory_budget_error_names_a_tau_that_fits():
+    ag, _ = random_raw_graph(np.random.default_rng(5), 20, 30)
+    params = WalkParams(p=2.0, q=0.5)
+    deg = np.diff(ag.indptr)
+    total = int((deg + deg * deg).sum())
+    for budget in range(0, total, max(1, total // 25)):
+        with pytest.raises(TransitionMemoryError, match="lower tau") as err:
+            preprocess_transitions(ag, params, tau=1024, max_entries=budget)
+        fit = int(re.search(r"to (\d+) or less", str(err.value)).group(1))
+        model = preprocess_transitions(ag, params, tau=fit, max_entries=budget)
+        assert model.n_precomputed_entries <= budget
+        with pytest.raises(TransitionMemoryError):
+            preprocess_transitions(ag, params, tau=int(deg[deg > fit].min()), max_entries=budget)
+
+
+TABLE_FIELDS = ("node_off", "node_accept", "node_alias", "edge_off", "edge_accept", "edge_alias")
+
+
+def _assert_tables_identical(model, reference):
+    for name, want in zip(TABLE_FIELDS, reference):
+        got = getattr(model, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+@st.composite
+def _attributed_graphs(draw):
+    """Random weighted attributed graph; raw nodes without edges carry attributes."""
+    n = draw(st.integers(2, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
+    m = draw(st.integers(1, 4))
+    entries = set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                                max_size=3 * n)))
+    linked = {v for e in edges for v in e} | {v for v, _ in entries}
+    entries = sorted(entries | {(v, 0) for v in range(n) if v not in linked})
+    weights = st.floats(0.1, 10.0)
+    g = AttributedGraph(
+        n_nodes=n,
+        edge_src=np.array([a for a, _ in edges], np.int32),
+        edge_dst=np.array([b for _, b in edges], np.int32),
+        edge_weight=np.array([draw(weights) for _ in edges]),
+        node_names=[str(v) for v in range(n)],
+        n_attrs=m,
+        attr_node=np.array([v for v, _ in entries], np.int32),
+        attr_id=np.array([a for _, a in entries], np.int32),
+        attr_value=np.array([draw(weights) for _ in entries]),
+    )
+    return build_augmented(g)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_batched_tables_match_per_state_reference(data):
+    ag = data.draw(_attributed_graphs())
+    bias = st.floats(0.1, 10.0).filter(lambda b: b != 1.0)
+    params = WalkParams(p=data.draw(bias), q=data.draw(bias), r=data.draw(bias),
+                        strategy=data.draw(st.sampled_from(STRATEGIES)),
+                        beta_graph=data.draw(st.sampled_from(["augmented", "raw"])))
+    deg = np.diff(ag.indptr)
+    lo, hi = int(deg.min()), int(deg.max())
+    tau = data.draw(st.integers(lo, max(lo, hi - 1)))
+    model = preprocess_transitions(ag, params, tau=tau)
+    if hi > lo:   # tau cuts through the degrees: table and on-demand states mix
+        assert (model.edge_off >= 0).any() and (model.edge_off < 0).any()
+    _assert_tables_identical(model, per_state_tables(ag, params, tau))
+
+
+def test_batched_tables_match_per_state_reference_on_webkb(data_root):
+    ag = build_augmented(AttributedGraph.load_dir(data_root / "webkb"))
+    params = WalkParams(p=1.0, q=0.5, r=2.0, strategy=TF)
+    model = preprocess_transitions(ag, params, tau=1024)
+    _assert_tables_identical(model, per_state_tables(ag, params, 1024))
+
+
 def test_stored_distributions_match_on_demand(five_node_graph):
     """Alias tables must encode exactly the analytic distributions."""
     from fane.alias import implied_probs
@@ -290,6 +388,19 @@ def test_determinism_across_runs_and_workers(five_node_graph):
     assert np.array_equal(a.walks, c.walks)
     w = generate_walk(five_node_graph, model, 4, iteration=2)
     assert np.array_equal(w, a.walks[2 * 6 + 4])
+
+
+@pytest.mark.parametrize("walk_length", [2, 5, 12])
+def test_generate_walk_matches_every_corpus_row(five_node_graph, walk_length):
+    # at walk_length 2 and 12 odd starts begin mid-counter (offset 2 mod 4)
+    params = WalkParams(p=2.0, q=0.5, r=0.5, walk_length=walk_length, walks_per_node=2, seed=77)
+    model = preprocess_transitions(five_node_graph, params, tau=2)
+    corpus = generate_corpus(five_node_graph, model)
+    n = five_node_graph.n_total
+    for it in range(2):
+        for start in range(n):
+            walk = generate_walk(five_node_graph, model, start, iteration=it)
+            assert np.array_equal(walk, corpus.walks[it * n + start]), (it, start)
 
 
 def test_seed_changes_corpus(five_node_graph):
