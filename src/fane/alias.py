@@ -1,4 +1,4 @@
-"""Alias method: O(k) table construction, O(1) categorical sampling."""
+"""Alias method: O(k) table construction for O(1) categorical sampling."""
 
 from __future__ import annotations
 
@@ -36,17 +36,3 @@ def build_alias(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         accept[i] = 1.0
     return accept, alias
 
-
-def alias_sample(accept: np.ndarray, alias: np.ndarray, u1: float, u2: float) -> int:
-    """Draw one index from an alias table using two uniforms in [0, 1)."""
-    k = len(accept)
-    i = min(int(u1 * k), k - 1)
-    return int(i if u2 < accept[i] else alias[i])
-
-
-def implied_probs(accept: np.ndarray, alias: np.ndarray) -> np.ndarray:
-    """Exact sampling distribution encoded by a table (for verification)."""
-    k = len(accept)
-    out = accept.astype(np.float64).copy()
-    np.add.at(out, alias, 1.0 - accept)
-    return out / k

@@ -2,9 +2,11 @@
 
 Each stage reads the previous stage's files, so stages are independently
 testable; `run` wires the full pipeline and writes a manifest of every
-effective setting. Config files are flat key=value text; command-line flags
-override config values. Exit codes: 0 success, 2 input validation, 3 stage
-failure. FANE_SEED provides the default seed.
+effective setting. Every setting is one row of OPTIONS: its flag is the key
+with '_' -> '-' (walk_length -> --walk-length), and build, walk, embed, eval
+and run also read it from a flat key=value config file (--config); viz and
+bench read none. Defaults < config file < flags. Exit codes: 0 success,
+2 input validation, 3 stage failure. FANE_SEED provides the default seed.
 """
 
 from __future__ import annotations
@@ -13,13 +15,16 @@ import argparse
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .graph import (AttributedGraph, GraphFormatError, build_augmented,
-                    load_attributes, load_edge_list, load_labels, stats)
+                    load_attributes, load_edge_list, load_labels, parse_labels,
+                    parse_sparse_attributes, read_records, stats)
 from .sgns import EmbeddingMatrix, TrainParams, train
 from .walks import (STRATEGIES, WalkParams, generate_corpus, load_corpus_tokens,
                     preprocess_transitions)
@@ -37,30 +42,55 @@ def _default_seed() -> int:
     return int(env) if env else 1
 
 
-# ---------------------------------------------------------------- config
+# ---------------------------------------------------------------- options
 
-CONFIG_SCHEMA = {
-    "edges": str, "attrs": str, "attr_format": str, "labels": str,
-    "p": float, "q": float, "r": float, "strategy": str,
-    "walk_length": int, "walks_per_node": int, "tau": int,
-    "beta_graph": str, "raw_starts_only": bool,
-    "dim": int, "window": int, "negatives": int, "epochs": int,
-    "lr": float, "deterministic": bool, "attr_weight": str,
-    "uniform_weight": float, "attr_scale_file": str,
-    "ratios": str, "C": float, "reps": int,
-    "seed": int, "workers": int, "out": str, "save_corpus": bool,
-    "log_level": str,
-}
+class Option(NamedTuple):
+    key: str
+    type: type
+    default: object          # a callable is called for each effective config
+    choices: tuple | None
+    commands: str            # the commands that offer the flag
 
-CONFIG_DEFAULTS = {
-    "attr_format": "sparse", "p": 1.0, "q": 1.0, "r": 1.0, "strategy": "tf",
-    "walk_length": 80, "walks_per_node": 10, "tau": 1024,
-    "beta_graph": "augmented", "raw_starts_only": False,
-    "dim": 128, "window": 10, "negatives": 5, "epochs": 5, "lr": 0.025,
-    "deterministic": True, "attr_weight": "value", "uniform_weight": 1.0,
-    "ratios": "0.5", "C": 1.0, "reps": 10,
-    "workers": 1, "save_corpus": False, "log_level": "info",
-}
+
+OPTIONS = {o.key: o for o in [
+    Option("edges", str, None, None, "build run"),
+    Option("attrs", str, None, None, "build viz run"),
+    Option("attr_format", str, "sparse", ("sparse", "dense"), "build run"),
+    Option("labels", str, None, None, "build eval viz run"),
+    Option("attr_weight", str, "value", ("value", "uniform", "scale"), "build walk"),
+    Option("uniform_weight", float, 1.0, None, "build walk"),
+    Option("attr_scale_file", str, None, None, "build walk"),
+    Option("p", float, 1.0, None, "walk run"),
+    Option("q", float, 1.0, None, "walk run"),
+    Option("r", float, 1.0, None, "walk run"),
+    Option("strategy", str, "tf", tuple(STRATEGIES), "walk run"),
+    Option("walk_length", int, 80, None, "walk run"),
+    Option("walks_per_node", int, 10, None, "walk run"),
+    Option("tau", int, 1024, None, "walk run"),
+    Option("beta_graph", str, "augmented", ("augmented", "raw"), "walk run"),
+    Option("raw_starts_only", bool, False, None, "walk run"),
+    Option("dim", int, 128, None, "embed run"),
+    Option("window", int, 10, None, "embed run"),
+    Option("negatives", int, 5, None, "embed run"),
+    Option("epochs", int, 5, None, "embed run"),
+    Option("lr", float, 0.025, None, "embed run"),
+    Option("deterministic", bool, True, None, "embed run"),
+    Option("ratios", str, "0.5", None, "eval run"),
+    Option("C", float, 1.0, None, "eval run"),
+    Option("reps", int, 10, None, "eval run"),
+    Option("seed", int, _default_seed, None, "walk embed eval viz bench run"),
+    Option("workers", int, 1, None, "walk embed bench run"),
+    Option("out", str, None, None, "build run"),
+    Option("save_corpus", bool, False, None, "run"),
+    Option("log_level", str, "info", ("debug", "info", "warning", "error", "critical"),
+           "build walk embed eval viz bench run"),
+]}
+
+CONFIG_COMMANDS = ("build", "walk", "embed", "eval", "run")
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _parse_bool(s: str) -> bool:
@@ -74,34 +104,33 @@ def _parse_bool(s: str) -> bool:
 def load_config(path) -> dict:
     """Flat key=value text; '#' comments; unknown keys are errors."""
     out = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line {lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in CONFIG_SCHEMA:
-                raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            typ = CONFIG_SCHEMA[key]
-            out[key] = _parse_bool(value) if typ is bool else typ(value)
+    for lineno, (key, value) in read_records(path, "config", "key=value", sep="="):
+        key, value = key.strip(), value.strip()
+        opt = OPTIONS.get(key)
+        if opt is None:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        out[key] = _parse_bool(value) if opt.type is bool else opt.type(value)
+        if opt.choices and out[key] not in opt.choices:
+            raise ValueError(f"config line {lineno}: {key} must be one of {', '.join(opt.choices)}")
     return out
 
 
-def effective_config(args, flag_keys) -> dict:
-    """Defaults < config file < explicit flags."""
-    cfg = dict(CONFIG_DEFAULTS)
-    cfg["seed"] = _default_seed()
+def effective_config(args) -> dict:
+    """Defaults < config file < the command's explicit flags."""
+    cfg = {o.key: o.default() if callable(o.default) else o.default for o in OPTIONS.values()}
     if getattr(args, "config", None):
         cfg.update(load_config(args.config))
-    for key, attr in flag_keys.items():
-        val = getattr(args, attr, None)
+    for o in OPTIONS.values():
+        val = getattr(args, o.key, None) if args.command in o.commands.split() else None
         if val is not None:
-            cfg[key] = val
+            cfg[o.key] = val
     return cfg
+
+
+def _need(cfg: dict, key: str):
+    if cfg.get(key) is None:
+        raise ValueError(f"{_flag(key)} is required")
+    return cfg[key]
 
 
 def write_manifest(path, cfg: dict) -> None:
@@ -109,29 +138,21 @@ def write_manifest(path, cfg: dict) -> None:
         f.write(f"# fane-version={__version__}\n")
         f.write(f"# numpy-version={np.__version__}\n")
         f.write(f"# python={sys.version.split()[0]}\n")
-        for key in sorted(cfg):
-            val = cfg[key]
-            if val is None or key not in CONFIG_SCHEMA:
-                continue
+        for key in sorted(OPTIONS):
+            val = cfg.get(key)
             if isinstance(val, bool):
                 val = "true" if val else "false"
-            f.write(f"{key}={val}\n")
+            if val is not None:
+                f.write(f"{key}={val}\n")
 
 
-class _Artifact:
+@contextmanager
+def _artifact(path):
     """Write to <path>.partial, rename on success, keep .partial on failure."""
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self.partial = Path(str(path) + ".partial")
-
-    def __enter__(self):
-        return self.partial
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None and self.partial.exists():
-            self.partial.replace(self.path)
-        return False
+    partial = Path(str(path) + ".partial")
+    yield partial
+    if partial.exists():
+        partial.replace(path)
 
 
 # ---------------------------------------------------------------- helpers
@@ -165,23 +186,28 @@ def _parse_series(text: str) -> list[int]:
 
 
 def _load_graph(cfg) -> AttributedGraph:
-    if not cfg.get("edges"):
-        raise GraphFormatError("no edge list configured (edges=...)")
-    g = load_edge_list(cfg["edges"])
-    if cfg.get("attrs"):
+    g = load_edge_list(_need(cfg, "edges"))
+    if cfg["attrs"]:
         load_attributes(cfg["attrs"], g, fmt=cfg["attr_format"])
-    if cfg.get("labels"):
+    if cfg["labels"]:
         load_labels(cfg["labels"], g)
     return g
 
 
 def _build_augmented(g, cfg):
     scale = None
-    if cfg.get("attr_weight") == "scale":
+    if cfg["attr_weight"] == "scale":
         scale = np.loadtxt(cfg["attr_scale_file"], dtype=np.float64, ndmin=1)
-    return build_augmented(g, attr_weight=cfg.get("attr_weight", "value"),
-                           uniform_weight=cfg.get("uniform_weight", 1.0),
-                           attr_scale=scale)
+    return build_augmented(g, attr_weight=cfg["attr_weight"],
+                           uniform_weight=cfg["uniform_weight"], attr_scale=scale)
+
+
+def _write_stats(path, ag) -> dict:
+    s = stats(ag)
+    with _artifact(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
+        for k, v in s.items():
+            f.write(f"{k}={v}\n")
+    return s
 
 
 def _walk_params(cfg) -> WalkParams:
@@ -201,48 +227,24 @@ def _train_params(cfg) -> TrainParams:
     )
 
 
-def _join_embeddings_labels(emb: EmbeddingMatrix, labels_path):
-    """Rows of the embedding carrying a label; attribute rows naturally drop out."""
-    raw: dict[str, str] = {}
-    with open(labels_path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"label line {lineno}: expected 'node class'")
-            if parts[0] in raw and raw[parts[0]] != parts[1]:
-                raise GraphFormatError(f"label line {lineno}: conflicting duplicate label")
-            raw[parts[0]] = parts[1]
-    keys = [k for k in emb.keys if k in raw]
-    if not keys:
-        raise GraphFormatError("no embedding rows carry a label; cannot evaluate")
-    classes = sorted(set(raw.values()))
-    cindex = {c: i for i, c in enumerate(classes)}
+def _classify(emb: EmbeddingMatrix, keys, y, cfg, path):
+    """Train-ratio sweep on the embedding rows of ``keys``; writes the report CSV."""
     feats = emb.rows_for(keys).astype(np.float64)
-    y = np.array([cindex[raw[k]] for k in keys])
-    return keys, feats, y, classes
+    report = ev.evaluate_classification(feats, y, _parse_ratios(cfg["ratios"]), C=cfg["C"],
+                                        repetitions=cfg["reps"], seed=cfg["seed"])
+    with _artifact(path) as tmp:
+        report.save_csv(tmp, d=emb.dimension)
+    return report
 
 
 # ---------------------------------------------------------------- commands
 
-def cmd_build(args) -> int:
-    cfg = effective_config(args, {
-        "edges": "edges", "attrs": "attrs", "attr_format": "attr_format",
-        "labels": "labels", "attr_weight": "attr_weight",
-        "uniform_weight": "uniform_weight", "attr_scale_file": "attr_scale_file",
-        "out": "out",
-    })
+def cmd_build(args, cfg) -> int:
+    out = Path(_need(cfg, "out"))
     g = _load_graph(cfg)
     ag = _build_augmented(g, cfg)
-    out = Path(cfg["out"])
     g.save(out)
-    s = stats(ag)
-    with open(out / "stats.txt", "w", encoding="utf-8") as f:
-        for k, v in s.items():
-            if k != "degree_histogram":
-                f.write(f"{k}={v}\n")
+    s = _write_stats(out / "stats.txt", ag)
     if args.dump:
         ag.dump(out / "augmented.txt")
     for k, v in s.items():
@@ -251,72 +253,38 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def cmd_walk(args) -> int:
-    cfg = effective_config(args, {
-        "p": "p", "q": "q", "r": "r", "strategy": "strategy",
-        "walk_length": "walk_length", "walks_per_node": "walks_per_node",
-        "seed": "seed", "tau": "tau", "beta_graph": "beta_graph",
-        "raw_starts_only": "raw_starts_only", "workers": "workers",
-        "attr_weight": "attr_weight", "uniform_weight": "uniform_weight",
-        "attr_scale_file": "attr_scale_file",
-    })
-    g = AttributedGraph.load_dir(args.graph)
-    ag = _build_augmented(g, cfg)
-    params = _walk_params(cfg)
-    model = preprocess_transitions(ag, params, tau=cfg["tau"])
+def cmd_walk(args, cfg) -> int:
+    ag = _build_augmented(AttributedGraph.load_dir(args.graph), cfg)
+    model = preprocess_transitions(ag, _walk_params(cfg), tau=cfg["tau"])
     corpus = generate_corpus(ag, model, workers=cfg["workers"])
-    with _Artifact(args.out) as tmp:
+    with _artifact(args.out) as tmp:
         corpus.save(tmp)
     print(f"wrote {corpus.n_walks} walks of length {corpus.walk_length} to {args.out}")
     return EXIT_OK
 
 
-def cmd_embed(args) -> int:
-    cfg = effective_config(args, {
-        "dim": "dim", "window": "window", "negatives": "negatives",
-        "epochs": "epochs", "lr": "lr", "workers": "workers",
-        "deterministic": "deterministic", "seed": "seed",
-    })
+def cmd_embed(args, cfg) -> int:
     walks, tokens = load_corpus_tokens(args.corpus)
-    names = None
+    names = {}
     if args.nodemap:
-        names = {}
-        with open(args.nodemap, "r", encoding="utf-8") as f:
-            for line in f:
-                parts = line.split()
-                if len(parts) == 2:
-                    names[parts[0]] = parts[1]
-    params = _train_params(cfg)
-
-    def key_fn(i: int) -> str:
-        tok = tokens[i]
-        if names is not None and tok in names:
-            return names[tok]
-        return tok
-
-    emb = train(walks, params, key_fn=key_fn)
-    with _Artifact(args.out) as tmp:
-        if args.binary:
-            emb.save_binary(tmp)
-        else:
-            emb.save_text(tmp)
+        names = dict(fields for _, fields in read_records(args.nodemap, "nodemap", "id name"))
+    emb = train(walks, _train_params(cfg), key_fn=lambda i: names.get(tokens[i], tokens[i]))
+    with _artifact(args.out) as tmp:
+        (emb.save_binary if args.binary else emb.save_text)(tmp)
     print(f"wrote {len(emb)} x {emb.dimension} embedding to {args.out} "
           f"(final epoch loss {emb.epoch_losses[-1]:.4f})")
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = effective_config(args, {
-        "ratios": "ratios", "C": "C", "reps": "reps", "seed": "seed",
-    })
-    emb = (EmbeddingMatrix.load_binary(args.embeddings) if args.binary
-           else EmbeddingMatrix.load_text(args.embeddings))
-    _, feats, y, classes = _join_embeddings_labels(emb, args.labels)
-    ratios = _parse_ratios(cfg["ratios"])
-    report = ev.evaluate_classification(feats, y, ratios, C=cfg["C"],
-                                        repetitions=cfg["reps"], seed=cfg["seed"])
-    with _Artifact(args.out) as tmp:
-        report.save_csv(tmp, d=emb.dimension)
+def cmd_eval(args, cfg) -> int:
+    emb = (EmbeddingMatrix.load_binary if args.binary else EmbeddingMatrix.load_text)(args.embeddings)
+    # label lines of nodes without an embedding row do not score
+    labels = {node: cls for _, node, cls in parse_labels(_need(cfg, "labels")) if node in emb}
+    keys = [k for k in emb.keys if k in labels]
+    if not keys:
+        raise GraphFormatError("no embedding rows carry a label; cannot evaluate")
+    _, y = np.unique([labels[k] for k in keys], return_inverse=True)
+    report = _classify(emb, keys, y, cfg, args.out)
     for row in report.ratio_summary():
         print(f"ratio={row['ratio']:.2f} micro={row['micro_mean']:.4f}"
               f"±{row['micro_std']:.4f} macro={row['macro_mean']:.4f}"
@@ -324,48 +292,31 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_viz(args) -> int:
-    emb = (EmbeddingMatrix.load_binary(args.embeddings) if args.binary
-           else EmbeddingMatrix.load_text(args.embeddings))
+def cmd_viz(args, cfg) -> int:
+    emb = (EmbeddingMatrix.load_binary if args.binary else EmbeddingMatrix.load_text)(args.embeddings)
     coords, ratio = ev.project_2d(emb.vectors)
-    keys = emb.keys
+    # label and attribute lines of nodes without an embedding row colour nothing
     if args.color_by == "label":
-        if not args.labels:
-            raise GraphFormatError("--color-by label needs --labels")
-        raw = {}
-        with open(args.labels, "r", encoding="utf-8") as f:
-            for line in f:
-                parts = line.split()
-                if len(parts) == 2:
-                    raw[parts[0]] = parts[1]
-        classes = [raw.get(k, "unlabeled") for k in keys]
+        labels = {node: cls for _, node, cls in parse_labels(_need(cfg, "labels")) if node in emb}
+        classes = [labels.get(k, "unlabeled") for k in emb.keys]
     elif args.color_by == "attribute":
-        if not args.attrs:
-            raise GraphFormatError("--color-by attribute needs --attrs")
-        best: dict[str, tuple[float, int]] = {}
-        with open(args.attrs, "r", encoding="utf-8") as f:
-            for line in f:
-                parts = line.split()
-                if len(parts) not in (2, 3):
-                    continue
-                val = float(parts[2]) if len(parts) == 3 else 1.0
-                a = int(parts[1])
-                cur = best.get(parts[0])
-                if cur is None or (val, -a) > (cur[0], -cur[1]):
-                    best[parts[0]] = (val, a)
-        classes = [f"a{best[k][1]}" if k in best else "none" for k in keys]
+        best: dict[str, tuple[float, int]] = {}   # node -> (value, -attr), largest wins
+        for _, node, a, x in parse_sparse_attributes(_need(cfg, "attrs")):
+            if node in emb and (x, -a) > best.get(node, (0.0, 0)):
+                best[node] = (x, -a)
+        classes = [f"a{-best[k][1]}" if k in best else "none" for k in emb.keys]
     else:  # cluster
-        assign, _, _ = ev.kmeans(emb.vectors, args.k, seed=args.seed or _default_seed())
+        assign, _, _ = ev.kmeans(emb.vectors, args.k, seed=cfg["seed"])
         classes = [f"c{c}" for c in assign]
     prefix = args.out_prefix
-    ev.scatter_csv(prefix + ".csv", keys, coords, classes)
+    ev.scatter_csv(prefix + ".csv", emb.keys, coords, classes)
     ev.scatter_svg(prefix + ".svg", coords, classes)
     print(f"projection explains {ratio[0]:.3f}+{ratio[1]:.3f} of variance; "
           f"wrote {prefix}.csv and {prefix}.svg")
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args, cfg) -> int:
     from .bench import BenchSpec, run_scaling
     spec = BenchSpec(
         node_counts=tuple(_parse_series(args.nodes)) if args.nodes else (),
@@ -373,109 +324,73 @@ def cmd_bench(args) -> int:
         attr_counts=tuple(_parse_series(args.attrs)) if args.attrs else (),
         attr_n_nodes=args.attr_nodes,
         repetitions=args.reps,
-        seed=args.seed if args.seed is not None else _default_seed(),
-        workers=args.workers,
+        seed=cfg["seed"],
+        workers=cfg["workers"],
         tau=args.tau,
         timeout_seconds=args.timeout,
     )
     result = run_scaling(spec, run_nodes=bool(spec.node_counts),
                          run_attrs=bool(spec.attr_counts))
     out = Path(args.out)
-    if spec.node_counts:
-        result.save_csv(out, "nodes")
-        print(f"node series -> {out}")
-        if result.node_fit:
-            print(f"  total-time fit: slope={result.node_fit.slope:.3e} "
-                  f"R^2={result.node_fit.r2:.4f}")
-    if spec.attr_counts:
-        attr_out = out.with_name(out.stem + "_attrs" + out.suffix)
-        result.save_csv(attr_out, "attrs")
-        print(f"attr series -> {attr_out}")
-        if result.attr_fit:
-            print(f"  total-time fit: slope={result.attr_fit.slope:.3e} "
-                  f"R^2={result.attr_fit.r2:.4f}")
+    for series, sizes, fit, path in (
+            ("nodes", spec.node_counts, result.node_fit, out),
+            ("attrs", spec.attr_counts, result.attr_fit,
+             out.with_name(out.stem + "_attrs" + out.suffix))):
+        if sizes:
+            result.save_csv(path, series)
+            print(f"{series[:-1]} series -> {path}")
+            if fit:
+                print(f"  total-time fit: slope={fit.slope:.3e} R^2={fit.r2:.4f}")
     return EXIT_OK
 
 
-def run_pipeline(cfg: dict) -> dict:
+def run_pipeline(cfg: dict, dry_run: bool = False) -> dict:
     """build -> walk -> embed -> eval with a manifest; returns artifact paths."""
-    out = Path(cfg["out"])
+    out = Path(_need(cfg, "out"))
     out.mkdir(parents=True, exist_ok=True)
     artifacts = {"manifest": out / "manifest.txt"}
     write_manifest(artifacts["manifest"], cfg)
-    if cfg.get("dry_run"):
+    if dry_run:
         return artifacts
 
     stage = "build"
     try:
         g = _load_graph(cfg)
         ag = _build_augmented(g, cfg)
-        s = stats(ag)
-        path = out / "stats.txt"
-        with _Artifact(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
-            for k, v in s.items():
-                f.write(f"{k}={v}\n")
-        artifacts["stats"] = path
+        artifacts["stats"] = out / "stats.txt"
+        _write_stats(artifacts["stats"], ag)
 
         stage = "walk"
-        params = _walk_params(cfg)
-        model = preprocess_transitions(ag, params, tau=cfg["tau"])
+        model = preprocess_transitions(ag, _walk_params(cfg), tau=cfg["tau"])
         corpus = generate_corpus(ag, model, workers=cfg["workers"])
-        if cfg.get("save_corpus"):
-            path = out / "corpus.txt"
-            with _Artifact(path) as tmp:
+        if cfg["save_corpus"]:
+            artifacts["corpus"] = out / "corpus.txt"
+            with _artifact(artifacts["corpus"]) as tmp:
                 corpus.save(tmp)
-            artifacts["corpus"] = path
 
         stage = "embed"
         emb = train(corpus.walks, _train_params(cfg), key_fn=ag.export_key)
-        path = out / "embeddings.txt"
-        with _Artifact(path) as tmp:
+        artifacts["embeddings"] = out / "embeddings.txt"
+        with _artifact(artifacts["embeddings"]) as tmp:
             emb.save_text(tmp)
-        artifacts["embeddings"] = path
 
-        if cfg.get("labels"):
+        if cfg["labels"]:
             stage = "eval"
             labeled = sorted(ag.labels)
-            feats = emb.rows_for([ag.node_names[v] for v in labeled]).astype(np.float64)
-            y = np.array([ag.labels[v] for v in labeled])
-            ratios = _parse_ratios(cfg["ratios"])
-            report = ev.evaluate_classification(feats, y, ratios, C=cfg["C"],
-                                                repetitions=cfg["reps"], seed=cfg["seed"])
-            path = out / "report.csv"
-            with _Artifact(path) as tmp:
-                report.save_csv(tmp, d=cfg["dim"])
-            artifacts["report"] = path
+            artifacts["report"] = out / "report.csv"
+            _classify(emb, [ag.node_names[v] for v in labeled],
+                      np.array([ag.labels[v] for v in labeled]), cfg, artifacts["report"])
     except Exception as e:
-        raise PipelineError(stage, e) from e
+        raise PipelineError(f"stage '{stage}' failed: {e}") from e
     return artifacts
 
 
 class PipelineError(RuntimeError):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage '{stage}' failed: {cause}")
-        self.stage = stage
-        self.cause = cause
+    """A stage of `run` failed (exit code 3)."""
 
 
-def cmd_run(args) -> int:
-    cfg = effective_config(args, {
-        "edges": "edges", "attrs": "attrs", "attr_format": "attr_format",
-        "labels": "labels", "p": "p", "q": "q", "r": "r", "strategy": "strategy",
-        "walk_length": "walk_length", "walks_per_node": "walks_per_node",
-        "tau": "tau", "beta_graph": "beta_graph", "raw_starts_only": "raw_starts_only",
-        "dim": "dim", "window": "window", "negatives": "negatives",
-        "epochs": "epochs", "lr": "lr", "deterministic": "deterministic",
-        "ratios": "ratios", "C": "C", "reps": "reps",
-        "seed": "seed", "workers": "workers", "out": "out",
-        "save_corpus": "save_corpus",
-    })
-    if not cfg.get("out"):
-        print("error: run needs --out (or out= in the config)", file=sys.stderr)
-        return EXIT_VALIDATION
-    cfg["dry_run"] = args.dry_run
-    artifacts = run_pipeline(cfg)
-    for name, path in artifacts.items():
+def cmd_run(args, cfg) -> int:
+    for name, path in run_pipeline(cfg, dry_run=args.dry_run).items():
         print(f"{name}: {path}")
     return EXIT_OK
 
@@ -487,147 +402,73 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"fane {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_config(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--log-level", default=None, dest="log_level")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if name in CONFIG_COMMANDS:
+            p.add_argument("--config", help="flat key=value config file")
+        for o in OPTIONS.values():
+            if name in o.commands.split():
+                kind = (dict(action="store_const", const=True) if o.type is bool
+                        else dict(type=o.type, choices=o.choices))
+                p.add_argument(_flag(o.key), dest=o.key, **kind)
+        return p
 
-    p = sub.add_parser("build", help="load + validate a dataset, write the normalized bundle")
-    add_config(p)
-    p.add_argument("--edges")
-    p.add_argument("--attrs")
-    p.add_argument("--attr-format", choices=["sparse", "dense"], dest="attr_format")
-    p.add_argument("--labels")
-    p.add_argument("--attr-weight", choices=["value", "uniform", "scale"], dest="attr_weight")
-    p.add_argument("--uniform-weight", type=float, dest="uniform_weight")
-    p.add_argument("--attr-scale-file", dest="attr_scale_file")
-    p.add_argument("--out", required=True)
+    p = command("build", cmd_build, "load + validate a dataset, write the normalized bundle")
     p.add_argument("--dump", action="store_true", help="also write the augmented-graph dump")
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("walk", help="generate the random-walk corpus")
-    add_config(p)
+    p = command("walk", cmd_walk, "generate the random-walk corpus")
     p.add_argument("--graph", required=True, help="bundle directory from 'build'")
     p.add_argument("--out", required=True)
-    p.add_argument("--p", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--strategy", choices=list(STRATEGIES))
-    p.add_argument("--walk-length", type=int, dest="walk_length")
-    p.add_argument("--walks-per-node", type=int, dest="walks_per_node")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tau", type=int)
-    p.add_argument("--beta-graph", choices=["augmented", "raw"], dest="beta_graph")
-    p.add_argument("--raw-starts-only", action="store_const", const=True,
-                   dest="raw_starts_only")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--attr-weight", choices=["value", "uniform", "scale"], dest="attr_weight")
-    p.add_argument("--uniform-weight", type=float, dest="uniform_weight")
-    p.add_argument("--attr-scale-file", dest="attr_scale_file")
-    p.set_defaults(func=cmd_walk)
 
-    p = sub.add_parser("embed", help="train skip-gram embeddings from a corpus file")
-    add_config(p)
+    p = command("embed", cmd_embed, "train skip-gram embeddings from a corpus file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--nodemap", help="dense->original id map for output keys")
     p.add_argument("--binary", action="store_true")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--deterministic", action="store_const", const=True)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("eval", help="classification sweep over training ratios")
-    add_config(p)
+    p = command("eval", cmd_eval, "classification sweep over training ratios")
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--labels", required=True)
     p.add_argument("--binary", action="store_true")
-    p.add_argument("--ratios")
-    p.add_argument("--C", type=float, dest="C")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("viz", help="2-D projection scatter (CSV + SVG)")
-    add_config(p)
+    p = command("viz", cmd_viz, "2-D projection scatter (CSV + SVG)")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--binary", action="store_true")
     p.add_argument("--mode", choices=["pca"], default="pca")
     p.add_argument("--color-by", choices=["label", "attribute", "cluster"],
                    default="label", dest="color_by")
-    p.add_argument("--labels")
-    p.add_argument("--attrs")
     p.add_argument("--k", type=int, default=8, help="clusters for --color-by cluster")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out-prefix", required=True, dest="out_prefix")
-    p.set_defaults(func=cmd_viz)
 
-    p = sub.add_parser("bench", help="scalability timing on random graphs")
-    add_config(p)
+    p = command("bench", cmd_bench, "scalability timing on random graphs")
     p.add_argument("--nodes", help="node series, 'A:B' decades or comma list")
     p.add_argument("--degree", type=float, default=10.0)
     p.add_argument("--attrs", help="attrs-per-node series, 'A:B' decades or comma list")
     p.add_argument("--attr-nodes", type=int, default=1000, dest="attr_nodes")
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--tau", type=int, default=128)
     p.add_argument("--timeout", type=float, help="per-point timeout in seconds")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("run", help="full pipeline with manifest")
-    add_config(p)
-    p.add_argument("--edges")
-    p.add_argument("--attrs")
-    p.add_argument("--attr-format", choices=["sparse", "dense"], dest="attr_format")
-    p.add_argument("--labels")
-    p.add_argument("--p", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--strategy", choices=list(STRATEGIES))
-    p.add_argument("--walk-length", type=int, dest="walk_length")
-    p.add_argument("--walks-per-node", type=int, dest="walks_per_node")
-    p.add_argument("--tau", type=int)
-    p.add_argument("--beta-graph", choices=["augmented", "raw"], dest="beta_graph")
-    p.add_argument("--raw-starts-only", action="store_const", const=True,
-                   dest="raw_starts_only")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--deterministic", action="store_const", const=True)
-    p.add_argument("--ratios")
-    p.add_argument("--C", type=float, dest="C")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--save-corpus", action="store_const", const=True, dest="save_corpus")
-    p.add_argument("--out")
+    p = command("run", cmd_run, "full pipeline with manifest")
     p.add_argument("--dry-run", action="store_true", dest="dry_run")
-    p.set_defaults(func=cmd_run)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    level = (args.log_level or "info").upper() if hasattr(args, "log_level") else "INFO"
-    logging.basicConfig(level=getattr(logging, level, logging.INFO),
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    level = logger.level
     try:
-        return args.func(args)
-    except PipelineError as e:
+        cfg = effective_config(args)
+        logger.setLevel(cfg["log_level"].upper())
+        return args.func(args, cfg)
+    except (PipelineError, GraphFormatError, ValueError, KeyError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_STAGE
-    except (GraphFormatError, ValueError, KeyError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_STAGE if isinstance(e, PipelineError) else EXIT_VALIDATION
+    finally:
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import AttributedGraph, load_attributes, load_edge_list, load_labels
+from .graph import AttributedGraph
 
 
 @dataclass(frozen=True)
@@ -246,17 +246,8 @@ def synthesize(name: str, out_dir) -> Path:
     return out
 
 
-def load_dir(path, n_attrs: int | None = None) -> AttributedGraph:
-    """Load a dataset directory (edges.txt, optional attrs.txt / labels.txt)."""
-    path = Path(path)
-    g = load_edge_list(path / "edges.txt")
-    attrs = path / "attrs.txt"
-    if attrs.exists():
-        load_attributes(attrs, g, fmt="sparse", n_attrs=n_attrs)
-    labels = path / "labels.txt"
-    if labels.exists():
-        load_labels(labels, g)
-    return g
+# a dataset directory is a bundle: edges.txt, optional attrs.txt / labels.txt
+load_dir = AttributedGraph.load_dir
 
 
 def ensure_dataset(name: str, root) -> Path:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import io
 import logging
+import math
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,16 +26,120 @@ class GraphFormatError(ValueError):
     """Malformed or inconsistent graph input."""
 
 
+@contextmanager
 def _open_text(source):
-    """Accept a path, str path, bytes, or file-like object; yield text lines."""
+    """Text view of a path, bytes or stream; closes only what it opened."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.TextIOBase):
-        return source
-    # binary stream
-    return io.TextIOWrapper(source, encoding="utf-8")
+        with open(source, "r", encoding="utf-8") as f:
+            yield f
+    elif isinstance(source, bytes):
+        yield io.StringIO(source.decode("utf-8"))
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    else:  # binary stream: wrap it, and hand it back open
+        f = io.TextIOWrapper(source, encoding="utf-8")
+        try:
+            yield f
+        finally:
+            f.detach()
+
+
+def read_records(source, kind: str, layout: str | None = None, sep: str | None = None):
+    """Yield (lineno, fields) for each line of a text input that holds data.
+
+    Blank lines and lines starting with '#' are skipped. ``layout`` names the
+    fields, e.g. "src dst [weight]" (bracketed fields are optional); a line
+    with another field count raises GraphFormatError("<kind> line N: ...").
+    Fields split on whitespace, or on ``sep``, where the last field keeps any
+    further separators (a config value may contain '=').
+    """
+    names = layout.split(sep) if layout else []
+    most = len(names)
+    least = sum(not name.startswith("[") for name in names)
+    maxsplit = most - 1 if sep else -1
+    with _open_text(source) as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.strip()
+            if not line or line[0] == "#":
+                continue
+            fields = line.split(sep, maxsplit)
+            if layout and not least <= len(fields) <= most:
+                raise GraphFormatError(f"{kind} line {lineno}: expected '{layout}', got {line!r}")
+            yield lineno, fields
+
+
+def _attr_value(token: str, lineno: int) -> float:
+    try:
+        x = float(token)
+    except ValueError:
+        raise GraphFormatError(f"attribute line {lineno}: bad value {token!r}") from None
+    if not math.isfinite(x):
+        raise GraphFormatError(f"attribute line {lineno}: non-finite value {x}")
+    if x < 0:
+        raise GraphFormatError(f"attribute line {lineno}: negative value {x}")
+    return x
+
+
+def parse_edges(source):
+    """Yield (lineno, src, dst, weight) from "src dst [weight]" lines.
+
+    The weight defaults to 1.0 and must be positive and finite.
+    """
+    for lineno, fields in read_records(source, "edge list", "src dst [weight]"):
+        w = 1.0
+        if len(fields) == 3:
+            try:
+                w = float(fields[2])
+            except ValueError:
+                raise GraphFormatError(f"edge list line {lineno}: bad weight {fields[2]!r}") from None
+            if not 0.0 < w < math.inf:
+                raise GraphFormatError(f"edge list line {lineno}: weight must be positive and finite, got {w}")
+        yield lineno, fields[0], fields[1], w
+
+
+def parse_sparse_attributes(source):
+    """Yield (lineno, node, attr, value) from "node attr [value]" lines.
+
+    attr is a non-negative integer; value defaults to 1.0 and must be
+    positive and finite (zero means absent and must not be stored).
+    """
+    for lineno, fields in read_records(source, "attribute", "node attr [value]"):
+        try:
+            a = int(fields[1])
+        except ValueError:
+            raise GraphFormatError(f"attribute line {lineno}: bad attr index {fields[1]!r}") from None
+        if a < 0:
+            raise GraphFormatError(f"attribute line {lineno}: negative attribute index")
+        x = _attr_value(fields[2], lineno) if len(fields) == 3 else 1.0
+        if x == 0.0:
+            raise GraphFormatError(f"attribute line {lineno}: zero values must not be stored")
+        yield lineno, fields[0], a, x
+
+
+def parse_dense_attributes(source, width: int | None = None):
+    """Yield (lineno, values) per row of a dense matrix, zeros included.
+
+    Every row has ``width`` columns, or as many as the first row if None;
+    values are non-negative and finite.
+    """
+    for lineno, fields in read_records(source, "attribute"):
+        if width is None:
+            width = len(fields)
+        if len(fields) != width:
+            raise GraphFormatError(f"attribute line {lineno}: expected {width} columns, got {len(fields)}")
+        yield lineno, [_attr_value(tok, lineno) for tok in fields]
+
+
+def parse_labels(source):
+    """Yield (lineno, node, class) from "node class" lines.
+
+    A node listed twice with different classes raises GraphFormatError.
+    """
+    first: dict[str, str] = {}
+    for lineno, (node, cls) in read_records(source, "label", "node class"):
+        if first.setdefault(node, cls) != cls:
+            raise GraphFormatError(f"label line {lineno}: conflicting duplicate label for node {node!r}")
+        yield lineno, node, cls
 
 
 @dataclass
@@ -102,13 +209,16 @@ class AttributedGraph:
                     f.write(f"{self.node_names[v]} {self.class_names[self.labels[v]]}\n")
 
     @classmethod
-    def load_dir(cls, in_dir, attr_format: str = "sparse") -> "AttributedGraph":
-        """Load a directory produced by :meth:`save` (or hand-written files)."""
+    def load_dir(cls, in_dir) -> "AttributedGraph":
+        """Load a directory of edges.txt and optional sparse attrs.txt / labels.txt.
+
+        Reads what :meth:`save` writes, or a dataset's hand-written files.
+        """
         in_dir = Path(in_dir)
         g = load_edge_list(in_dir / "edges.txt")
         attrs = in_dir / "attrs.txt"
         if attrs.exists():
-            load_attributes(attrs, g, fmt=attr_format)
+            load_attributes(attrs, g)
         labels = in_dir / "labels.txt"
         if labels.exists():
             load_labels(labels, g)
@@ -126,33 +236,16 @@ def load_edge_list(source) -> AttributedGraph:
     merged: dict[tuple[int, int], float] = {}
     dropped = 0
     n_merged = 0
-    f = _open_text(source)
-    try:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise GraphFormatError(f"edge list line {lineno}: expected 'src dst [weight]', got {line!r}")
-            try:
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError:
-                raise GraphFormatError(f"edge list line {lineno}: bad weight {parts[2]!r}") from None
-            if not (w > 0.0) or not np.isfinite(w):
-                raise GraphFormatError(f"edge list line {lineno}: weight must be positive and finite, got {w}")
-            u = ids.setdefault(parts[0], len(ids))
-            v = ids.setdefault(parts[1], len(ids))
-            if u == v:
-                dropped += 1
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in merged:
-                n_merged += 1
-            merged[key] = merged.get(key, 0.0) + w
-    finally:
-        if isinstance(source, (str, Path)):
-            f.close()
+    for _, a, b, w in parse_edges(source):
+        u = ids.setdefault(a, len(ids))
+        v = ids.setdefault(b, len(ids))
+        if u == v:
+            dropped += 1
+            continue
+        key = (u, v) if u < v else (v, u)
+        if key in merged:
+            n_merged += 1
+        merged[key] = merged.get(key, 0.0) + w
     if not merged:
         raise GraphFormatError("edge list: no edges found")
     if dropped:
@@ -185,90 +278,57 @@ def load_attributes(source, g: AttributedGraph, fmt: str = "sparse", n_attrs: in
     """
     if fmt not in ("sparse", "dense"):
         raise ValueError(f"unknown attribute format {fmt!r}")
-    nodes: list[int] = []
-    attrs: list[int] = []
-    values: list[float] = []
-    name_to_id = g.name_to_id()
-    f = _open_text(source)
-    try:
-        if fmt == "sparse":
-            seen: dict[tuple[int, int], int] = {}
-            max_attr = -1
-            for lineno, raw in enumerate(f, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) not in (2, 3):
-                    raise GraphFormatError(f"attribute line {lineno}: expected 'node attr [value]'")
-                if parts[0] not in name_to_id:
-                    raise GraphFormatError(f"attribute line {lineno}: unknown node id {parts[0]!r}")
-                v = name_to_id[parts[0]]
-                try:
-                    a = int(parts[1])
-                    x = float(parts[2]) if len(parts) == 3 else 1.0
-                except ValueError:
-                    raise GraphFormatError(f"attribute line {lineno}: bad attr index or value") from None
-                if a < 0:
-                    raise GraphFormatError(f"attribute line {lineno}: negative attribute index")
-                if n_attrs is not None and a >= n_attrs:
-                    raise GraphFormatError(f"attribute line {lineno}: attribute index {a} >= {n_attrs}")
-                if not np.isfinite(x):
-                    raise GraphFormatError(f"attribute line {lineno}: non-finite value {x}")
-                if x < 0:
-                    raise GraphFormatError(f"attribute line {lineno}: negative value {x}")
-                if x == 0.0:
-                    raise GraphFormatError(f"attribute line {lineno}: zero values must not be stored")
-                if (v, a) in seen:
-                    raise GraphFormatError(
-                        f"attribute line {lineno}: duplicate entry for node {parts[0]!r} attr {a} "
-                        f"(first at line {seen[(v, a)]})"
-                    )
-                seen[(v, a)] = lineno
-                nodes.append(v)
-                attrs.append(a)
-                values.append(x)
-                max_attr = max(max_attr, a)
-            m = n_attrs if n_attrs is not None else max_attr + 1
-        else:
-            m = n_attrs
-            row = -1
-            for lineno, raw in enumerate(f, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                row += 1
-                if row >= g.n_nodes:
-                    raise GraphFormatError(f"attribute line {lineno}: row {row} exceeds node count {g.n_nodes}")
-                parts = line.split()
-                if m is None:
-                    m = len(parts)
-                if len(parts) != m:
-                    raise GraphFormatError(f"attribute line {lineno}: expected {m} columns, got {len(parts)}")
-                for a, tok in enumerate(parts):
-                    try:
-                        x = float(tok)
-                    except ValueError:
-                        raise GraphFormatError(f"attribute line {lineno}: bad value {tok!r}") from None
-                    if not np.isfinite(x):
-                        raise GraphFormatError(f"attribute line {lineno}: non-finite value {x}")
-                    if x < 0:
-                        raise GraphFormatError(f"attribute line {lineno}: negative value {x}")
-                    if x > 0.0:
-                        nodes.append(row)
-                        attrs.append(a)
-                        values.append(x)
-            if m is None:
-                m = 0
-    finally:
-        if isinstance(source, (str, Path)):
-            f.close()
-    order = np.lexsort((np.asarray(attrs, np.int64), np.asarray(nodes, np.int64))) if nodes else np.empty(0, np.int64)
+    nodes, attrs, values, lines = array("i"), array("i"), array("d"), array("q")
+    if fmt == "sparse":
+        name_to_id = g.name_to_id()
+        for lineno, name, a, x in parse_sparse_attributes(source):
+            v = name_to_id.get(name)
+            if v is None:
+                raise GraphFormatError(f"attribute line {lineno}: unknown node id {name!r}")
+            if n_attrs is not None and a >= n_attrs:
+                raise GraphFormatError(f"attribute line {lineno}: attribute index {a} >= {n_attrs}")
+            nodes.append(v)
+            attrs.append(a)
+            values.append(x)
+            lines.append(lineno)
+        m = n_attrs if n_attrs is not None else int(np.frombuffer(attrs, np.int32).max(initial=-1)) + 1
+    else:
+        m = n_attrs or 0
+        for row, (lineno, row_values) in enumerate(parse_dense_attributes(source, n_attrs)):
+            if row >= g.n_nodes:
+                raise GraphFormatError(f"attribute line {lineno}: row {row} exceeds node count {g.n_nodes}")
+            m = len(row_values)
+            for a, x in enumerate(row_values):
+                if x > 0.0:
+                    nodes.append(row)
+                    attrs.append(a)
+                    values.append(x)
+                    lines.append(lineno)
+    node_arr = np.frombuffer(nodes, np.int32)
+    attr_arr = np.frombuffer(attrs, np.int32)
+    order = np.lexsort((attr_arr, node_arr))
+    node_arr, attr_arr = node_arr[order], attr_arr[order]
+    _reject_duplicates(g, node_arr, attr_arr, np.frombuffer(lines, np.int64)[order])
     g.n_attrs = int(m)
-    g.attr_node = np.asarray(nodes, np.int32)[order]
-    g.attr_id = np.asarray(attrs, np.int32)[order]
-    g.attr_value = np.asarray(values, np.float64)[order]
+    g.attr_node = node_arr
+    g.attr_id = attr_arr
+    g.attr_value = np.frombuffer(values, np.float64)[order]
     return g
+
+
+def _reject_duplicates(g: AttributedGraph, nodes, attrs, lines) -> None:
+    """Raise for the (node, attr) pair repeated earliest in the file.
+
+    The rows are sorted by (node, attr) with ties in file order, so a repeat
+    sits right after an earlier line of the same pair.
+    """
+    repeat = np.flatnonzero((nodes[1:] == nodes[:-1]) & (attrs[1:] == attrs[:-1])) + 1
+    if len(repeat):
+        i = repeat[np.argmin(lines[repeat])]
+        raise GraphFormatError(
+            f"attribute line {lines[i]}: duplicate entry for node {g.node_names[nodes[i]]!r} "
+            f"attr {attrs[i]} (first at line {lines[i - 1]})"
+        )
 
 
 def load_labels(source, g: AttributedGraph) -> AttributedGraph:
@@ -279,26 +339,11 @@ def load_labels(source, g: AttributedGraph) -> AttributedGraph:
     """
     raw_labels: dict[int, str] = {}
     name_to_id = g.name_to_id()
-    f = _open_text(source)
-    try:
-        for lineno, rawline in enumerate(f, start=1):
-            line = rawline.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"label line {lineno}: expected 'node class'")
-            if parts[0] not in name_to_id:
-                raise GraphFormatError(f"label line {lineno}: unknown node id {parts[0]!r}")
-            v = name_to_id[parts[0]]
-            if v in raw_labels and raw_labels[v] != parts[1]:
-                raise GraphFormatError(
-                    f"label line {lineno}: conflicting duplicate label for node {parts[0]!r}"
-                )
-            raw_labels[v] = parts[1]
-    finally:
-        if isinstance(source, (str, Path)):
-            f.close()
+    for lineno, name, cls in parse_labels(source):
+        v = name_to_id.get(name)
+        if v is None:
+            raise GraphFormatError(f"label line {lineno}: unknown node id {name!r}")
+        raw_labels[v] = cls
     class_names = sorted(set(raw_labels.values()))
     class_index = {c: i for i, c in enumerate(class_names)}
     g.labels = {v: class_index[c] for v, c in raw_labels.items()}

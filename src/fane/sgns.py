@@ -100,12 +100,6 @@ def sgns_gradients(center_vec, context_vec, negative_vecs):
     return g_center.astype(c.dtype), g_context.astype(c.dtype), g_negatives.astype(c.dtype), value
 
 
-def sgns_step(center_vec, context_vec, negative_vecs, lr: float):
-    """Additive update triple (lr * gradient) for a single positive pair."""
-    g_c, g_o, g_n, value = sgns_gradients(center_vec, context_vec, negative_vecs)
-    return lr * g_c, lr * g_o, lr * g_n, value
-
-
 @dataclass
 class EmbeddingMatrix:
     """Learned vectors keyed by node token; in-vectors are the embedding."""

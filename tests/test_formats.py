@@ -1,0 +1,35 @@
+import io
+
+import pytest
+
+from fane import GraphFormatError, load_attributes, load_edge_list
+from fane.graph import read_records
+
+
+def test_reader_skips_comments_and_checks_field_count():
+    text = "# head\n\n  a b  \n#x y\nc d e\n"
+    assert list(read_records(io.StringIO(text), "pair", "left right [extra]")) == [
+        (3, ["a", "b"]), (5, ["c", "d", "e"])]
+    with pytest.raises(GraphFormatError, match=r"pair line 2: expected 'left right', got 'b'"):
+        list(read_records(io.StringIO("a b\nb\n"), "pair", "left right"))
+
+
+def test_reader_separator_keeps_rest_of_last_field():
+    records = list(read_records(b"k = a=b c\n", "config", "key=value", sep="="))
+    assert records == [(1, ["k ", " a=b c"])]
+
+
+def test_reader_leaves_callers_streams_open():
+    text = io.StringIO("0 1\n")
+    binary = io.BytesIO(b"0 1\n")
+    load_edge_list(text)
+    load_edge_list(binary)
+    assert not text.closed and not binary.closed
+
+
+def test_duplicate_attribute_reports_earliest_repeat():
+    g = load_edge_list(io.StringIO("0 1\n1 2\n"))
+    text = "0 1\n2 0\n1 0\n2 0\n1 0\n0 1\n"
+    with pytest.raises(GraphFormatError,
+                       match=r"line 4: duplicate entry for node '2' attr 0 \(first at line 2\)"):
+        load_attributes(io.StringIO(text), g)

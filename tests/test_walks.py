@@ -287,7 +287,7 @@ def test_batched_tables_match_per_state_reference_on_webkb(data_root):
 
 def test_stored_distributions_match_on_demand(five_node_graph):
     """Alias tables must encode exactly the analytic distributions."""
-    from fane.alias import implied_probs
+    from oracles.alias_reference import implied_probs
     params = WalkParams(p=2.0, q=0.5, r=0.25, strategy=TF)
     model = preprocess_transitions(five_node_graph, params, tau=64)
     for u, v in _directed_states(five_node_graph):
