@@ -102,14 +102,18 @@ def _parse_bool(s: str) -> bool:
 
 
 def load_config(path) -> dict:
-    """Flat key=value text; '#' comments; unknown keys are errors."""
+    """Flat key=value text; '#' comments; unknown keys and values that do not
+    parse as the key's type are errors naming the line."""
     out = {}
     for lineno, (key, value) in read_records(path, "config", "key=value", sep="="):
         key, value = key.strip(), value.strip()
         opt = OPTIONS.get(key)
         if opt is None:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        out[key] = _parse_bool(value) if opt.type is bool else opt.type(value)
+        try:
+            out[key] = _parse_bool(value) if opt.type is bool else opt.type(value)
+        except ValueError as e:
+            raise ValueError(f"config line {lineno}: {key}: {e}") from None
         if opt.choices and out[key] not in opt.choices:
             raise ValueError(f"config line {lineno}: {key} must be one of {', '.join(opt.choices)}")
     return out
@@ -176,6 +180,8 @@ def _parse_series(text: str) -> list[int]:
     """"A:B" = decades from A to B; "a,b,c" = explicit; "n" = single point."""
     if ":" in text:
         lo, hi = (int(t) for t in text.split(":"))
+        if lo < 1 or hi < lo:
+            raise ValueError(f"series {text!r}: the start must be at least 1 and the end at least the start")
         vals = []
         x = lo
         while x <= hi:

@@ -100,7 +100,7 @@ def parse_edges(source):
 def parse_sparse_attributes(source):
     """Yield (lineno, node, attr, value) from "node attr [value]" lines.
 
-    attr is a non-negative integer; value defaults to 1.0 and must be
+    attr is an integer in [0, 2^31); value defaults to 1.0 and must be
     positive and finite (zero means absent and must not be stored).
     """
     for lineno, fields in read_records(source, "attribute", "node attr [value]"):
@@ -108,8 +108,9 @@ def parse_sparse_attributes(source):
             a = int(fields[1])
         except ValueError:
             raise GraphFormatError(f"attribute line {lineno}: bad attr index {fields[1]!r}") from None
-        if a < 0:
-            raise GraphFormatError(f"attribute line {lineno}: negative attribute index")
+        if not 0 <= a < 1 << 31:
+            raise GraphFormatError(f"attribute line {lineno}: " + (
+                "negative attribute index" if a < 0 else f"attribute index {a} is 2^31 or more"))
         x = _attr_value(fields[2], lineno) if len(fields) == 3 else 1.0
         if x == 0.0:
             raise GraphFormatError(f"attribute line {lineno}: zero values must not be stored")

@@ -6,18 +6,28 @@ according to the strategy (sf: source is an attribute node, tf: target is,
 stf: either is) and otherwise falls back to the return/in-out kernel
 beta: 1/p if x == u, 1 if x is adjacent to u, else 1/q.
 
-Sampling uses alias tables precomputed for every state (u -> v) with
-deg(v) <= tau, built in one batched pass: states grouped by deg(v) run
-through Vose's construction in lockstep, in chunks of a fixed number of
-entries. Remaining states are sampled on demand. Each walk draws its
-randomness from a dedicated counter window of a Philox stream keyed by
-(seed, iteration), so corpora are reproducible and independent of worker
-scheduling.
+States (u -> v) with deg(v) <= tau sample from alias tables built in one
+batched pass: states grouped by deg(v) run through Vose's construction in
+lockstep, in chunks of a fixed number of entries. tau=0 builds no table.
+Every other state takes one batched rejection step (KnightKing, Yang et
+al., SOSP 2019): x is proposed from w(v,x) * c(v,x), c being 1/r on the
+moves the strategy damps and max(1, 1/q) elsewhere, by inverse CDF over
+row-local prefix sums, and accepted with alpha / c; the return edge's mass
+above c is an outlier drawn past the end of the proposal. After
+_MAX_TRIALS rejections a walker makes one exact draw from pi, so every
+step follows pi exactly.
+
+The first trial of every step reads the walk's own counter window of a
+Philox stream keyed by (seed, iteration); later trials read a counter-based
+Philox4x32 stream keyed by the seed and addressed by (start, step, trial,
+iteration). Corpora are therefore reproducible and independent of batching
+and worker scheduling.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +41,23 @@ STRATEGIES = (SF, TF, STF)
 
 SENTINEL_START = -1
 
-# sub-stream tags for the non-walk generators (shuffle order)
-_ORDER_STREAM = 1
+logger = logging.getLogger(__name__)
 
-# table entries per chunk of the batched alias build; bounds its temporaries
+# sub-stream tags: the shuffle order's generator, the retry stream's key
+_ORDER_STREAM = 1
+_RETRY_STREAM = 2
+
+# table entries per chunk of the batched alias and prefix-sum builds;
+# bounds their temporaries
 _CHUNK_ENTRIES = 1 << 16
+
+# rejection trials per table-less step before its one exact draw from pi
+_MAX_TRIALS = 16
+
+# Philox4x32-10 multipliers and Weyl key increments
+_PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+_M32 = 0xFFFFFFFF
 
 
 class TransitionMemoryError(RuntimeError):
@@ -69,6 +91,13 @@ class WalkParams:
             raise ValueError("beta_graph must be 'augmented' or 'raw'")
 
 
+def _damped(params: WalkParams, x_attr, v_attr):
+    """Moves the strategy damps by 1/r: into an attribute node (tf, stf) or
+    out of one (sf, stf)."""
+    strat = params.strategy
+    return (x_attr & (strat in (TF, STF))) | (v_attr & (strat in (SF, STF)))
+
+
 def _scores(params: WalkParams, n_raw: int, x: np.ndarray, w: np.ndarray, v_attr,
             u=None, adj=None) -> np.ndarray:
     """Unnormalized scores w(v,x) * alpha over neighbors x of v, for one state
@@ -81,8 +110,7 @@ def _scores(params: WalkParams, n_raw: int, x: np.ndarray, w: np.ndarray, v_attr
     x_attr = x >= n_raw
     strat = params.strategy
     if u is None:
-        damp = (x_attr & (strat in (TF, STF))) | (v_attr & (strat in (SF, STF)))
-        return w * np.where(damp, 1.0 / params.r, 1.0)
+        return w * np.where(_damped(params, x_attr, v_attr), 1.0 / params.r, 1.0)
     if params.beta_graph == "raw":
         adj = adj & ~x_attr & (u < n_raw)
     a = np.where(adj, 1.0, 1.0 / params.q)
@@ -121,12 +149,13 @@ def transition_distribution(g: AugmentedGraph, params: WalkParams, u: int, v: in
 
 @dataclass
 class TransitionModel:
-    """Hybrid precomputed/on-demand transition tables for one parameter set.
+    """Alias tables for the states (u -> v) with deg(v) <= tau.
 
     Immutable after preprocessing; shareable across workers. ``edge_off[e]``
     indexes the flat alias arrays for the directed edge with CSR position e,
-    or -1 when that state is sampled on demand (same for ``node_off`` and
-    first steps).
+    or -1 when deg(v) > tau (same for ``node_off`` and first steps). Those
+    states are sampled by batched rejection, from prefix sums that each
+    corpus builds for their rows; tau=0 builds no table at all.
     """
 
     params: WalkParams
@@ -155,7 +184,7 @@ def preprocess_transitions(g: AugmentedGraph, params: WalkParams, tau: int = 102
     with no such node (as at tau=0) no edge is visited.
 
     Raises TransitionMemoryError, naming the largest tau that fits, when the
-    tables would exceed ``max_entries`` entries (tau=0 is fully on-demand).
+    tables would exceed ``max_entries`` entries (tau=0 builds no table).
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
@@ -170,7 +199,7 @@ def preprocess_transitions(g: AugmentedGraph, params: WalkParams, tau: int = 102
         fit = int(d[np.searchsorted(np.cumsum(d + d * d), max_entries, side="right")]) - 1
         raise TransitionMemoryError(
             f"precomputing needs {node_entries + edge_entries} table entries (> budget {max_entries}); "
-            f"lower tau (currently {tau}) to {fit} or less, or use tau=0 for fully on-demand sampling")
+            f"lower tau (currently {tau}) to {fit} or less, or use tau=0 for sampling by rejection only")
 
     node_off = np.full(g.n_total, -1, np.int64)
     node_accept = np.empty(node_entries, np.float64)
@@ -202,24 +231,29 @@ def _fill_tables(g: AugmentedGraph, params: WalkParams, prev: np.ndarray | None,
         # CSR order is (source, target) order, so these keys come sorted
         keys = np.repeat(np.arange(g.n_total, dtype=np.int64) * g.n_total, np.diff(g.indptr))
         keys += g.neighbors
-    d_cur = np.diff(g.indptr)[cur]
-    order = np.argsort(d_cur, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(d_cur[order])) + 1):
-        d = int(d_cur[group[0]])
-        cols = np.arange(d)
-        step = max(1, _CHUNK_ENTRIES // d)
+    for rows, cols in _degree_chunks(np.diff(g.indptr)[cur]):
+        at = g.indptr[cur[rows]][:, None] + cols
+        x = g.neighbors[at]
+        u = adj = None
+        if prev is not None:
+            u = prev[rows][:, None]
+            ux = u * g.n_total + x
+            adj = keys[np.minimum(np.searchsorted(keys, ux), len(keys) - 1)] == ux
+        pi = _scores(params, g.n_raw, x, g.weights[at], (cur[rows] >= g.n_raw)[:, None], u, adj)
+        dst = off[rows][:, None] + cols
+        accept[dst], alias[dst] = _alias_rows(pi / pi.sum(axis=1, keepdims=True))
+
+
+def _degree_chunks(d: np.ndarray):
+    """Yield (rows, arange(k)) over the indices of ``d`` grouped by equal
+    value k, at most ``_CHUNK_ENTRIES // k`` rows at a time."""
+    order = np.argsort(d, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(d[order])) + 1):
+        k = int(d[group[0]])
+        cols = np.arange(k)
+        step = max(1, _CHUNK_ENTRIES // k)
         for i in range(0, len(group), step):
-            rows = group[i:i + step]
-            at = g.indptr[cur[rows]][:, None] + cols
-            x = g.neighbors[at]
-            u = adj = None
-            if prev is not None:
-                u = prev[rows][:, None]
-                ux = u * g.n_total + x
-                adj = keys[np.minimum(np.searchsorted(keys, ux), len(keys) - 1)] == ux
-            pi = _scores(params, g.n_raw, x, g.weights[at], (cur[rows] >= g.n_raw)[:, None], u, adj)
-            dst = off[rows][:, None] + cols
-            accept[dst], alias[dst] = _alias_rows(pi / pi.sum(axis=1, keepdims=True))
+            yield group[i:i + step], cols
 
 
 def _alias_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,6 +303,32 @@ def _philox(seed: int, iteration: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _philox4x32(ctr, key) -> tuple:
+    """Philox4x32-10 (Salmon et al., SC 2011) of the counters ``ctr``, four
+    uint64 arrays of 32-bit words, under the two 32-bit words of ``key``."""
+    c0, c1, c2, c3 = ctr
+    k0, k1 = key
+    for _ in range(10):
+        p0 = c0 * _PHILOX_M[0]
+        p1 = c2 * _PHILOX_M[1]
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & _M32, (p0 >> 32) ^ c3 ^ k1, p0 & _M32
+        k0, k1 = (k0 + _PHILOX_W[0]) & _M32, (k1 + _PHILOX_W[1]) & _M32
+    return c0, c1, c2, c3
+
+
+def _retry_uniforms(seed: int, iteration: int, start: np.ndarray, step: int,
+                    trial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u1, u2) of rejection trial ``trial[i]`` for the walk from ``start[i]``:
+    the Philox4x32 block at counter (start, step, trial, iteration) under the
+    seed's two words, the high one tagged with ``_RETRY_STREAM``."""
+    n = len(start)
+    words = (start.astype(np.uint64), np.full(n, step & _M32, np.uint64),
+             np.asarray(trial, np.uint64), np.full(n, iteration & _M32, np.uint64))
+    o0, o1, o2, o3 = _philox4x32(words, (seed & _M32, ((seed >> 32) ^ _RETRY_STREAM) & _M32))
+    unit = 1.0 / (1 << 53)
+    return (((o0 >> 5) << 26) + (o1 >> 6)) * unit, (((o2 >> 5) << 26) + (o3 >> 6)) * unit
+
+
 def _alias_draw(accept: np.ndarray, alias: np.ndarray, off, d, u1, u2) -> np.ndarray:
     """Positions drawn from the tables at ``off``: column j by u1, kept if u2 < accept."""
     j = np.minimum((u1 * d).astype(np.int64), d - 1)
@@ -276,45 +336,181 @@ def _alias_draw(accept: np.ndarray, alias: np.ndarray, off, d, u1, u2) -> np.nda
     return np.where(u2 < accept[at], j, alias[at])
 
 
-def _sample_on_demand(pi: np.ndarray, u1):
-    cdf = np.cumsum(pi)
-    return np.minimum(np.searchsorted(cdf, u1 * cdf[-1], side="right"), len(pi) - 1)
+def _row_search(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, key, side: str = "left") -> np.ndarray:
+    """``lo[i] + np.searchsorted(a[lo[i]:hi[i]], key[i], side)`` for every i,
+    by one bisection over all the sorted rows in lockstep."""
+    last = len(a) - 1
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        open_ = lo < hi
+        mid = (lo + hi) >> 1
+        at = a[np.minimum(mid, last)]
+        right = (at <= key) if side == "right" else (at < key)
+        lo = np.where(open_ & right, mid + 1, lo)
+        hi = np.where(open_ & ~right, mid, hi)
+    return lo
 
 
-def _walk_batch_impl(g: AugmentedGraph, model: TransitionModel, starts: np.ndarray,
-                     ublock: np.ndarray) -> np.ndarray:
-    """Advance a batch of walks in lockstep; returns (len(starts), l) ids."""
+def _proposal_sums(g: AugmentedGraph, model: TransitionModel, nodes: np.ndarray | None = None):
+    """Row-local prefix sums of the proposal w(v,x) * c(v,x) over N(v) for v
+    in ``nodes``, by default every node without tables (degree > tau), as
+    (off, cum): row v spans cum[off[v]:off[v] + deg(v)], off is -1
+    elsewhere. None when there is no such node.
+
+    c is 1/r on the moves the strategy damps and max(1, 1/q) elsewhere, so
+    it bounds alpha on every target but the return edge. Each row is summed
+    on its own and carries no rounding from another.
+    """
     params = model.params
-    l = params.walk_length
+    if nodes is None:
+        nodes = np.flatnonzero(model.node_off < 0)
+    if not len(nodes):
+        return None
+    d = np.diff(g.indptr)[nodes]
+    off = np.full(g.n_total, -1, np.int64)
+    off[nodes] = np.cumsum(d) - d
+    cum = np.empty(int(d.sum()))
+    raw_c = max(1.0, 1.0 / params.q)
+    for rows, cols in _degree_chunks(d):
+        v = nodes[rows]
+        at = g.indptr[v][:, None] + cols
+        damp = _damped(params, g.neighbors[at] >= g.n_raw, (v >= g.n_raw)[:, None])
+        cum[off[v][:, None] + cols] = np.cumsum(g.weights[at] * np.where(damp, 1.0 / params.r, raw_c), axis=1)
+    return off, cum
+
+
+def _exact_draw(g: AugmentedGraph, params: WalkParams, u: int, v: int, u1: float) -> int:
+    """Position drawn from pi of the state (u, v) by inverse CDF."""
+    cdf = np.cumsum(_pi(g, params, u, v))
+    return min(int(np.searchsorted(cdf, u1 * cdf[-1], side="right")), len(cdf) - 1)
+
+
+def _reject(g: AugmentedGraph, params: WalkParams, sums, prev: np.ndarray, cur: np.ndarray,
+            u1: np.ndarray, u2: np.ndarray, retry: tuple, counts: np.ndarray) -> np.ndarray:
+    """Positions drawn from pi of the states (prev[i] -> cur[i]) by rejection;
+    prev[i] = SENTINEL_START for a first step.
+
+    A trial draws y = u1 * (Z + E), Z the row's proposal sum and E the
+    return edge's mass above the envelope, w(v,u) * (1/p - c)+. y < Z
+    proposes x by inverse CDF and keeps it if u2 < alpha / c; y >= Z takes
+    x = u outright. Trial 0 uses (u1, u2), trial t > 0 ``_retry_uniforms``
+    at (seed, iteration, start, step) = ``retry``. Trials run in rounds of
+    1, 3 and 12, each round for all walkers still rejected at once; a
+    walker keeps its first accepted trial, so rounds change no draw. Walkers
+    rejected ``_MAX_TRIALS`` times make one exact draw.
+    """
+    off, cum = sums
+    seed, iteration, start, step = retry
+    raw_c = max(1.0, 1.0 / params.q)
+    lo = g.indptr[cur]
+    deg = g.indptr[cur + 1] - lo
+    base = off[cur]
+    total = cum[base + deg - 1]
+    extra = np.zeros(len(cur))
+    home = np.zeros(len(cur), np.int64)
+    if 1.0 / params.p > raw_c:
+        m = np.flatnonzero((prev >= 0) & ~_damped(params, prev >= g.n_raw, cur >= g.n_raw))
+        home[m] = _row_search(g.neighbors, lo[m], lo[m] + deg[m], prev[m]) - lo[m]
+        extra[m] = g.weights[lo[m] + home[m]] * (1.0 / params.p - raw_c)
+    out = np.empty(len(cur), np.int64)
+    live = np.arange(len(cur))
+    first, n = 0, 1
+    while len(live) and first < _MAX_TRIALS:
+        w = np.repeat(live, n)          # trials first .. first+n-1 of each live walker
+        if first == 0:
+            a, b = u1, u2
+        else:
+            a, b = _retry_uniforms(seed, iteration, start[w], step,
+                                   np.tile(np.arange(first, first + n), len(live)))
+        u, v, z = prev[w], cur[w], total[w]
+        y = a * (z + extra[w])
+        outlier = (y >= z) & (extra[w] > 0)
+        j = np.where(outlier, home[w],
+                     np.minimum(_row_search(cum, base[w], base[w] + deg[w], y, "right") - base[w],
+                                deg[w] - 1))
+        x = g.neighbors[lo[w] + j]
+        ratio = np.ones(len(w))
+        raw = ~outlier & ~_damped(params, x >= g.n_raw, v >= g.n_raw)
+        ratio[raw & (u < 0)] = 1.0 / raw_c
+        ratio[raw & (x == u)] = min(1.0, 1.0 / params.p / raw_c)
+        far = np.flatnonzero(raw & (u >= 0) & (x != u))
+        if params.q != 1.0 and len(far):
+            uf, xf = u[far], x[far]
+            end = g.indptr[uf + 1]
+            at = _row_search(g.neighbors, g.indptr[uf], end, xf)
+            adj = (at < end) & (g.neighbors[np.minimum(at, len(g.neighbors) - 1)] == xf)
+            if params.beta_graph == "raw":
+                adj &= (xf < g.n_raw) & (uf < g.n_raw)
+            ratio[far] = np.where(adj, 1.0, 1.0 / params.q) / raw_c
+        ok = (b < ratio).reshape(len(live), n)
+        took = ok.argmax(axis=1)
+        done = ok[np.arange(len(live)), took]
+        counts[2] += int(np.where(done, took + 1, n).sum())
+        out[live[done]] = j.reshape(len(live), n)[done, took[done]]
+        live = live[~done]
+        first, n = first + n, min(3 * (first + n), _MAX_TRIALS - first - n)
+    if len(live):
+        counts[3] += len(live)
+        a, _ = _retry_uniforms(seed, iteration, start[live], step, np.full(len(live), _MAX_TRIALS))
+        for i, ai in zip(live.tolist(), a.tolist()):
+            out[i] = _exact_draw(g, params, int(prev[i]), int(cur[i]), ai)
+    return out
+
+
+def _next_positions(g: AugmentedGraph, model: TransitionModel, sums, prev: np.ndarray,
+                    cur: np.ndarray, edge: np.ndarray, u1: np.ndarray, u2: np.ndarray,
+                    retry: tuple, counts: np.ndarray) -> np.ndarray:
+    """Position in cur's neighbor row of each walker's next node.
+
+    ``edge`` is the CSR index of (prev -> cur), -1 for a first step. States
+    with a table draw from it with (u1, u2); the rest go through ``_reject``
+    together, with ``retry`` = (seed, iteration, start, step) and ``sums``
+    from ``_proposal_sums``. ``counts`` accumulates [table steps, rejection
+    steps, rejection trials, exact fallbacks].
+    """
+    idx = np.empty(len(cur), np.int64)
+    first = edge < 0
+    rest = []
+    for rows, offs, accept, alias in (
+            (np.flatnonzero(first), model.node_off[cur[first]], model.node_accept, model.node_alias),
+            (np.flatnonzero(~first), model.edge_off[edge[~first]], model.edge_accept, model.edge_alias)):
+        pre = offs >= 0
+        sel = rows[pre]
+        idx[sel] = _alias_draw(accept, alias, offs[pre], g.indptr[cur[sel] + 1] - g.indptr[cur[sel]],
+                               u1[sel], u2[sel])
+        rest.append(rows[~pre])
+    rows = np.concatenate(rest)
+    counts[0] += len(cur) - len(rows)
+    if len(rows):
+        counts[1] += len(rows)
+        seed, iteration, start, step = retry
+        idx[rows] = _reject(g, model.params, sums, prev[rows], cur[rows], u1[rows], u2[rows],
+                            (seed, iteration, start[rows], step), counts)
+    return idx
+
+
+def _walk_batch_impl(g: AugmentedGraph, model: TransitionModel, sums, starts: np.ndarray,
+                     ublock: np.ndarray, iteration: int) -> tuple[np.ndarray, np.ndarray]:
+    """Advance a batch of walks in lockstep; returns (len(starts), l) ids
+    and the step counts of ``_next_positions``."""
+    l = model.params.walk_length
     B = len(starts)
-    deg = np.diff(g.indptr)
 
     walks = np.empty((B, l), np.int32)
     walks[:, 0] = starts
     cur = starts.astype(np.int64)
     prev = np.full(B, SENTINEL_START, np.int64)
     edge = np.full(B, -1, np.int64)   # CSR index of (prev -> cur)
+    counts = np.zeros(4, np.int64)
 
     for s in range(l - 1):
-        u1 = ublock[:, 2 * s]
-        u2 = ublock[:, 2 * s + 1]
-        idx = np.empty(B, np.int64)
-        first = edge < 0
-        for rows, offs, accept, alias in (
-                (np.flatnonzero(first), model.node_off[cur[first]], model.node_accept, model.node_alias),
-                (np.flatnonzero(~first), model.edge_off[edge[~first]], model.edge_accept, model.edge_alias)):
-            pre = offs >= 0
-            sel = rows[pre]
-            idx[sel] = _alias_draw(accept, alias, offs[pre], deg[cur[sel]], u1[sel], u2[sel])
-            for i in rows[~pre]:
-                idx[i] = _sample_on_demand(_pi(g, params, int(prev[i]), int(cur[i])), u1[i])
-
+        idx = _next_positions(g, model, sums, prev, cur, edge, ublock[:, 2 * s], ublock[:, 2 * s + 1],
+                              (model.params.seed, iteration, starts, s), counts)
         edge = g.indptr[cur] + idx
         prev = cur
         cur = g.neighbors[edge].astype(np.int64)
         walks[:, s + 1] = cur
 
-    return walks
+    return walks, counts
 
 
 def edge_csr_index(g: AugmentedGraph, u: int, v: int) -> int:
@@ -328,24 +524,24 @@ def edge_csr_index(g: AugmentedGraph, u: int, v: int) -> int:
 
 def sample_next(g: AugmentedGraph, model: TransitionModel, u: int, v: int,
                 n_samples: int, seed: int) -> np.ndarray:
-    """Draw next-step neighbor positions for state (u, v), honoring the
-    model's precomputed/on-demand mode for that state. u = SENTINEL_START
-    samples the first step."""
+    """Draw next-step neighbor positions for state (u, v) through the walk
+    kernel, table or rejection as the model has it; u = SENTINEL_START
+    samples the first step. Draw i is a walker from start i whose trials
+    are keyed by (seed, iteration 0, step 0)."""
     rng = np.random.default_rng(seed)
     u1 = rng.random(n_samples)
     u2 = rng.random(n_samples)
-    if u == SENTINEL_START:
-        off, tables = int(model.node_off[v]), (model.node_accept, model.node_alias)
-    else:
-        off, tables = int(model.edge_off[edge_csr_index(g, u, v)]), (model.edge_accept, model.edge_alias)
-    if off >= 0:
-        return _alias_draw(*tables, off, g.degree(v), u1, u2)
-    return _sample_on_demand(_pi(g, model.params, u, v), u1)
+    e = -1 if u == SENTINEL_START else edge_csr_index(g, u, v)
+    sums = _proposal_sums(g, model, np.array([v]))
+    return _next_positions(g, model, sums, np.full(n_samples, u, np.int64), np.full(n_samples, v, np.int64),
+                           np.full(n_samples, e, np.int64), u1, u2,
+                           (seed, 0, np.arange(n_samples), 0), np.zeros(4, np.int64))
 
 
 def generate_walk(g: AugmentedGraph, model: TransitionModel, start: int,
                   iteration: int = 0) -> np.ndarray:
-    """One walk from ``start``; identical to the corresponding corpus row."""
+    """One walk from ``start``; identical to the corresponding corpus row.
+    Like a corpus, it first builds the proposal sums of every table-less row."""
     if g.degree(start) == 0:
         raise ValueError(f"start node {start} has no neighbors")
     # row ``start`` of the iteration's uniform block: each Philox counter
@@ -355,7 +551,9 @@ def generate_walk(g: AugmentedGraph, model: TransitionModel, start: int,
     gen = _philox(model.params.seed, iteration)
     gen.bit_generator.advance(skip)
     u = gen.random(head + n)[head:]
-    return _walk_batch_impl(g, model, np.array([start], np.int64), u[None, :])[0]
+    walks, _ = _walk_batch_impl(g, model, _proposal_sums(g, model), np.array([start], np.int64),
+                                u[None, :], iteration)
+    return walks[0]
 
 
 @dataclass
@@ -419,7 +617,9 @@ def generate_corpus(g: AugmentedGraph, model: TransitionModel, workers: int = 1,
     Starts cover all of V' (or raw nodes only with raw_starts_only), each
     exactly walks_per_node times. Generation order within an iteration is
     shuffled (and possibly parallel); assembly is canonical by
-    (iteration, start id) and independent of worker count.
+    (iteration, start id) and independent of worker count. Logs at INFO
+    how many steps drew from tables and how many by rejection, the mean
+    trials per rejection step and the exact fallbacks.
     """
     params = model.params
     n_total = g.n_total
@@ -427,6 +627,8 @@ def generate_corpus(g: AugmentedGraph, model: TransitionModel, workers: int = 1,
     starts = np.arange(n_starts, dtype=np.int64)
     l = params.walk_length
     all_walks = np.empty((params.walks_per_node * n_starts, l), np.int32)
+    sums = _proposal_sums(g, model)
+    counts = np.zeros(4, np.int64)
 
     for it in range(params.walks_per_node):
         ublock = _philox(params.seed, it).random((n_total, 2 * (l - 1)))
@@ -435,15 +637,20 @@ def generate_corpus(g: AugmentedGraph, model: TransitionModel, workers: int = 1,
         base = it * n_starts
 
         def run_chunk(chunk):
-            res = _walk_batch_impl(g, model, chunk, ublock[chunk])
+            res, chunk_counts = _walk_batch_impl(g, model, sums, chunk, ublock[chunk], it)
             all_walks[base + chunk] = res
+            return chunk_counts
 
         if workers > 1 and len(chunks) > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_chunk, chunks))
+                counts += sum(pool.map(run_chunk, chunks))
         else:
             for chunk in chunks:
-                run_chunk(chunk)
+                counts += run_chunk(chunk)
+
+    table, rejection, trials, fallbacks = counts.tolist()
+    logger.info("walk steps: %d from tables, %d by rejection at %.3f trials each, %d exact fallbacks",
+                table, rejection, trials / max(rejection, 1), fallbacks)
 
     return Corpus(
         walks=all_walks,

@@ -1,3 +1,4 @@
+import re
 
 import pytest
 
@@ -27,6 +28,16 @@ def test_parse_series():
     assert _parse_series("100:100000") == [100, 1000, 10000, 100000]
     assert _parse_series("5,7,9") == [5, 7, 9]
     assert _parse_series("42") == [42]
+
+
+@pytest.mark.parametrize("series", ["0:10", "-3:10", "10:5"])
+def test_bench_series_range_must_grow_from_one(series, tmp_path, capsys):
+    """A start below 1 never reaches the end by decades; exit 2 before any work."""
+    with pytest.raises(ValueError, match=f"series '{series}'"):
+        _parse_series(series)
+    assert main(["bench", f"--nodes={series}", "--out", str(tmp_path / "b.csv")]) == 2
+    assert f"series '{series}'" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_build_walk_embed_eval_viz_chain(dataset, tmp_path, capsys):
@@ -122,6 +133,20 @@ def test_unknown_config_key_is_error(tmp_path):
     cfg.write_text("nonsense=1\n")
     with pytest.raises(ValueError, match="unknown key"):
         load_config(cfg)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("walk_length=abc", "walk_length: invalid literal for int()"),
+    ("p=fast", "p: could not convert string to float"),
+    ("raw_starts_only=maybe", "raw_starts_only: not a boolean: 'maybe'"),
+])
+def test_config_type_error_names_line_and_key(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.txt"
+    cfg.write_text(f"# walk settings\nq=0.5\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"config line 3: {message}")):
+        load_config(cfg)
+    assert main(["walk", "--config", str(cfg), "--graph", str(tmp_path), "--out", str(tmp_path / "c")]) == 2
+    assert f"config line 3: {message}" in capsys.readouterr().err
 
 
 def test_validation_exit_code(tmp_path):

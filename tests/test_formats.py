@@ -3,6 +3,7 @@ import io
 import pytest
 
 from fane import GraphFormatError, load_attributes, load_edge_list
+from fane.cli import main
 from fane.graph import read_records
 
 
@@ -33,3 +34,16 @@ def test_duplicate_attribute_reports_earliest_repeat():
     with pytest.raises(GraphFormatError,
                        match=r"line 4: duplicate entry for node '2' attr 0 \(first at line 2\)"):
         load_attributes(io.StringIO(text), g)
+
+
+def test_attribute_index_must_fit_32_bits(tmp_path, capsys):
+    g = load_edge_list(io.StringIO("0 1\n"))
+    assert load_attributes(io.StringIO(f"0 {2**31 - 1}\n"), g).n_attrs == 2**31
+    with pytest.raises(GraphFormatError, match=r"attribute line 2: attribute index 2147483648 is 2\^31 or more"):
+        load_attributes(io.StringIO(f"1 0\n0 {2**31}\n"), load_edge_list(io.StringIO("0 1\n")))
+    (tmp_path / "edges.txt").write_text("0 1\n")
+    (tmp_path / "attrs.txt").write_text("0 3000000000\n")
+    rc = main(["build", "--edges", str(tmp_path / "edges.txt"), "--attrs", str(tmp_path / "attrs.txt"),
+               "--out", str(tmp_path / "bundle")])
+    assert rc == 2
+    assert "attribute line 1: attribute index 3000000000 is 2^31 or more" in capsys.readouterr().err
