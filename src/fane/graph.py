@@ -231,17 +231,21 @@ def load_edge_list(source) -> AttributedGraph:
 
     Lines starting with '#' are comments. Self-loops are dropped (counted),
     duplicate undirected edges are merged by summing weights, and node ids
-    are remapped to dense integers in first-seen order.
+    are remapped to dense integers in first-seen order. A node named only in
+    self-loop lines would be left without neighbours, and raises
+    GraphFormatError naming the first such line.
     """
     ids: dict[str, int] = {}
     merged: dict[tuple[int, int], float] = {}
+    loop_line: dict[int, int] = {}     # node -> first self-loop line
     dropped = 0
     n_merged = 0
-    for _, a, b, w in parse_edges(source):
+    for lineno, a, b, w in parse_edges(source):
         u = ids.setdefault(a, len(ids))
         v = ids.setdefault(b, len(ids))
         if u == v:
             dropped += 1
+            loop_line.setdefault(u, lineno)
             continue
         key = (u, v) if u < v else (v, u)
         if key in merged:
@@ -258,6 +262,13 @@ def load_edge_list(source) -> AttributedGraph:
     names = [None] * len(ids)
     for name, i in ids.items():
         names[i] = name
+    linked = np.zeros(len(ids), bool)
+    linked[src] = linked[dst] = True
+    lonely = [(line, u) for u, line in loop_line.items() if not linked[u]]
+    if lonely:
+        line, u = min(lonely)
+        raise GraphFormatError(f"edge list line {line}: node {names[u]!r} appears only in "
+                               "self-loops, which are dropped, and would have no neighbours")
     return AttributedGraph(
         n_nodes=len(ids),
         edge_src=src,
@@ -449,11 +460,12 @@ def build_augmented(g: AttributedGraph, attr_weight: str = "value",
     isolated node); the skipped count is reported in the result.
     """
     n = g.n_nodes
-    used = np.unique(g.attr_id) if g.nnz_attributes else np.empty(0, np.int32)
+    # unified id of each entry's attribute node: n + its rank among the used
+    # ids (a table indexed by attribute id would be sized by the largest id)
+    used, attr_unified = np.unique(g.attr_id, return_inverse=True)
+    attr_unified += n
     m_used = len(used)
     skipped = g.n_attrs - m_used
-    attr_slot = np.full(g.n_attrs if g.n_attrs else 1, -1, np.int64)
-    attr_slot[used] = np.arange(m_used)
 
     if attr_weight == "value":
         vw = g.attr_value
@@ -473,18 +485,17 @@ def build_augmented(g: AttributedGraph, attr_weight: str = "value",
     else:
         raise ValueError(f"unknown attr_weight rule {attr_weight!r}")
 
-    attr_unified = (n + attr_slot[g.attr_id]).astype(np.int64) if g.nnz_attributes else np.empty(0, np.int64)
-    src = np.concatenate([g.edge_src.astype(np.int64), g.attr_node.astype(np.int64)])
-    dst = np.concatenate([g.edge_dst.astype(np.int64), attr_unified])
-    wgt = np.concatenate([g.edge_weight, vw])
-
     n_total = n + m_used
-    # symmetrize, then CSR with neighbor lists sorted by unified id
-    all_src = np.concatenate([src, dst])
-    all_dst = np.concatenate([dst, src])
-    all_wgt = np.concatenate([wgt, wgt])
+    # symmetrize, then CSR with neighbor lists sorted by unified id; each
+    # array is permuted in turn, so one copy at a time is alive beside it
+    ends = [g.edge_src, g.attr_node, g.edge_dst, attr_unified]
+    all_src = np.concatenate(ends, dtype=np.int64)
+    all_dst = np.concatenate(ends[2:] + ends[:2], dtype=np.int64)
+    all_wgt = np.concatenate([g.edge_weight, vw, g.edge_weight, vw])
     order = np.lexsort((all_dst, all_src))
-    all_src, all_dst, all_wgt = all_src[order], all_dst[order], all_wgt[order]
+    all_src = all_src[order]
+    all_dst = all_dst[order]
+    all_wgt = all_wgt[order]
     indptr = np.zeros(n_total + 1, np.int64)
     np.add.at(indptr, all_src + 1, 1)
     np.cumsum(indptr, out=indptr)

@@ -224,3 +224,10 @@ def test_binary_embedding_cli_round_trip(dataset, tmp_path):
     from fane import EmbeddingMatrix
     emb = EmbeddingMatrix.load_binary(emb_bin)
     assert emb.dimension == 3
+
+
+def test_build_rejects_node_only_in_self_loops(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n1 2\n3 3\n")
+    assert main(["build", "--edges", str(edges), "--out", str(tmp_path / "b")]) == 2
+    assert "edge list line 3: node '3'" in capsys.readouterr().err

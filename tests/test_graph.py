@@ -1,10 +1,16 @@
 import io
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fane
 from fane import (GraphFormatError, build_augmented, load_attributes,
                   load_edge_list, load_labels, stats)
 
@@ -27,6 +33,16 @@ def test_self_loops_dropped_with_count():
     g = load_edge_list(io.StringIO("0 0\n0 1\n2 2\n1 2\n"))
     assert g.n_edges == 2
     assert g.dropped_self_loops == 2
+
+
+@pytest.mark.parametrize("text,line", [
+    ("0 1\n1 2\n3 3\n", 3),
+    ("# c\n5 5\n0 1\n5 5\n1 2\n4 4\n", 2),
+    ("0 1\n2 2\n3 3\n2 2\n", 2),
+])
+def test_node_only_in_self_loops_rejected_with_line(text, line):
+    with pytest.raises(GraphFormatError, match=f"line {line}: node .* only in self-loops"):
+        load_edge_list(io.StringIO(text))
 
 
 def test_comments_and_blank_lines_skipped():
@@ -61,6 +77,10 @@ def test_merge_rule_matches_dict_accumulation(pairs):
     if not expected:
         return
     text = "".join(f"{u} {v} {w!r}\n" for u, v, w in pairs)
+    if {u for u, v, _ in pairs if u == v} - {x for key in expected for x in key}:
+        with pytest.raises(GraphFormatError, match="only in self-loops"):
+            load_edge_list(io.StringIO(text))
+        return
     g = load_edge_list(io.StringIO(text))
     assert g.n_edges == len(expected)
     names = g.node_names
@@ -160,6 +180,25 @@ def test_zero_incidence_attributes_skipped_and_counted():
     assert ag.n_attr_nodes == 1
     assert ag.skipped_attrs == 9
     assert ag.attr_ids.tolist() == [3]
+
+
+def test_build_augmented_memory_independent_of_largest_attribute_id():
+    # one entry at attribute id 2*10^7; a fresh interpreter, so that the
+    # high-water mark is this build's own
+    script = textwrap.dedent("""
+        import io, resource
+        from fane import build_augmented, load_attributes, load_edge_list
+        g = load_edge_list(io.StringIO("0 1\\n"))
+        load_attributes(io.StringIO("0 20000000\\n"), g)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        ag = build_augmented(g)
+        assert ag.attr_ids.tolist() == [20000000] and ag.skipped_attrs == 20000000
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+    """)
+    src = str(Path(fane.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert int(out.stdout) < 50 * 1024     # ru_maxrss is in KiB on Linux
 
 
 def test_attribute_node_degree_equals_incidence():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fane import EmbeddingMatrix, TrainParams, build_vocabulary, train
-from fane.sgns import _pairs_for_chunk, sgns_gradients
-from oracles.sgns_reference import sgns_step
+from fane.sgns import _apply_batch, _log_sigmoid, _pairs_for_chunk, sgns_gradients
+from oracles.sgns_reference import apply_batch, log_sigmoid, sigmoid, sgns_step
 
 
 def test_vocabulary_counts_and_order():
@@ -227,3 +227,79 @@ def test_train_params_validation():
                 dict(epochs=0), dict(learning_rate=0.0)):
         with pytest.raises(ValueError):
             TrainParams(**bad)
+
+
+def _random_batch(rng, V, B, k, d):
+    in_vecs = (rng.normal(size=(V, d)) / np.sqrt(d)).astype(np.float32)
+    out_vecs = (rng.normal(size=(V, d)) / np.sqrt(d)).astype(np.float32)
+    centers = rng.integers(0, V, B).astype(np.int32)
+    contexts = rng.integers(0, V, B).astype(np.int32)
+    negs = rng.integers(0, V, (B, k)).astype(np.int32)
+    return in_vecs, out_vecs, centers, contexts, negs
+
+
+# lr * m for the rows of a V=7, B=300, k=5 batch: about 43 in-rows and 257
+# out-rows per row, so 1e-3 stays under the cap on both sides, 0.01 caps
+# the out side only and 0.2 caps both.
+@pytest.mark.parametrize("d", [1, 8, 128])
+@pytest.mark.parametrize("lr", [1e-3, 0.01, 0.2])
+def test_apply_batch_matches_bincount_reference(d, lr):
+    rng = np.random.default_rng(1000 * d + int(lr * 1000))
+    for _ in range(3):
+        in_vecs, out_vecs, centers, contexts, negs = _random_batch(rng, 7, 300, 5, d)
+        ref_in, ref_out = in_vecs.copy(), out_vecs.copy()
+        ref_loss = apply_batch(ref_in, ref_out, centers, contexts, negs, lr)
+        loss = _apply_batch(in_vecs, out_vecs, centers, contexts, negs, lr)
+        # float32 sums of up to ~260 terms in another order
+        for got, want in ((in_vecs, ref_in), (out_vecs, ref_out)):
+            np.testing.assert_allclose(got, want, rtol=1e-5,
+                                       atol=1e-5 * float(np.abs(want).max()))
+        assert loss == pytest.approx(ref_loss, rel=1e-5)
+
+
+def test_apply_batch_single_pair_is_sgns_gradients():
+    # one pair, context and negatives distinct, lr * m <= 1: the trainer's
+    # row deltas are lr times the gradients the acceptance check verifies
+    rng = np.random.default_rng(77)
+    for d, k, lr in ((1, 1, 0.5), (8, 5, 0.025), (128, 5, 1.0), (16, 3, 0.2)):
+        in_vecs, out_vecs, _, _, _ = _random_batch(rng, k + 2, 1, k, d)
+        in0, out0 = in_vecs.copy(), out_vecs.copy()
+        center, context, negs = np.array([k + 1]), np.array([0]), np.arange(1, k + 1)
+        loss = _apply_batch(in_vecs, out_vecs, center, context, negs[None, :], lr)
+        g_c, g_o, g_n, value = sgns_gradients(in0[k + 1].astype(np.float64),
+                                              out0[0].astype(np.float64),
+                                              out0[1:k + 1].astype(np.float64))
+        tol = dict(rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(in_vecs[k + 1] - in0[k + 1], lr * g_c, **tol)
+        np.testing.assert_allclose(out_vecs[0] - out0[0], lr * g_o, **tol)
+        np.testing.assert_allclose(out_vecs[1:k + 1] - out0[1:k + 1], lr * g_n, **tol)
+        assert np.array_equal(in_vecs[:k + 1], in0[:k + 1])
+        assert np.array_equal(out_vecs[k + 1], out0[k + 1])
+        assert loss == pytest.approx(-value, rel=1e-5)
+
+
+def test_log_sigmoid_one_exp_matches_reference():
+    x = np.concatenate([np.linspace(-30, 30, 2001), [-1e-3, 0.0, 1e-3]]).astype(np.float32)
+    log_sig, slope = _log_sigmoid(x)
+    assert log_sig.dtype == slope.dtype == np.float32
+    np.testing.assert_allclose(log_sig, log_sigmoid(x), rtol=1e-6)
+    np.testing.assert_allclose(slope, sigmoid(-x), rtol=1e-6)
+    log_sig, slope = _log_sigmoid(np.array([-100.0, 100.0], np.float32))
+    assert np.all(np.isfinite(log_sig)) and np.all(np.isfinite(slope))
+    assert log_sig[0] == np.float32(-100.0) and -1e-40 <= log_sig[1] <= 0.0
+    assert slope[0] == np.float32(1.0) and 0.0 <= slope[1] <= 1e-40
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_train_byte_identical_for_fixed_seed_d128(workers):
+    rng = np.random.default_rng(23)
+    walks = rng.integers(0, 40, size=(60, 20))
+    params = TrainParams(dimension=128, window=3, epochs=2, seed=12, learning_rate=0.2,
+                         workers=workers, deterministic=True)
+    a = train(walks, params)
+    b = train(walks, params)
+    assert a.vectors.tobytes() == b.vectors.tobytes()
+    assert a.out_vectors.tobytes() == b.out_vectors.tobytes()
+    single = train(walks, TrainParams(dimension=128, window=3, epochs=2, seed=12,
+                                      learning_rate=0.2))
+    assert a.vectors.tobytes() == single.vectors.tobytes()

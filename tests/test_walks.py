@@ -205,7 +205,10 @@ def test_no_table_node_reads_no_edge(five_node_graph):
 
 
 def test_node_without_neighbors_rejected():
-    ag = build_augmented(load_edge_list(io.StringIO("0 1\n1 2\n3 3\n")))
+    # the edge loader refuses such a node, so the graph is built directly
+    ag = build_augmented(AttributedGraph(
+        n_nodes=4, edge_src=np.array([0, 1], np.int32), edge_dst=np.array([1, 2], np.int32),
+        edge_weight=np.ones(2), node_names=["0", "1", "2", "3"]))
     for tau in (0, 16):
         with pytest.raises(ValueError, match="node 3 has no neighbors"):
             preprocess_transitions(ag, WalkParams(), tau=tau)
