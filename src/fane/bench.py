@@ -124,7 +124,6 @@ class BenchSpec:
     attr_n_nodes: int = 1000
     repetitions: int = 3
     seed: int = 1
-    workers: int = 1
     tau: int = 128
     timeout_seconds: float | None = None
     walk_length: int = 20
@@ -152,18 +151,18 @@ class BenchResult:
     rows: list[dict] = field(default_factory=list)   # series, size, stage, median_seconds
     node_fit: FitResult | None = None
     attr_fit: FitResult | None = None
-    workers: int = 1
     peak_table_entries: int = 0
 
     def save_csv(self, path, series: str) -> None:
-        """Spec'd columns (size, stage, median_seconds, workers) for one series."""
+        """Spec'd columns (size, stage, median_seconds, workers) for one series;
+        the walk and the trainer run on one thread, so workers is 1."""
         with open(path, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)
             w.writerow(["size", "stage", "median_seconds", "workers"])
             for r in self.rows:
                 if r["series"] != series:
                     continue
-                w.writerow([r["size"], r["stage"], f"{r['median_seconds']:.6f}", self.workers])
+                w.writerow([r["size"], r["stage"], f"{r['median_seconds']:.6f}", 1])
 
 
 def ols_fit(x, y) -> FitResult | None:
@@ -196,7 +195,7 @@ def _time_pipeline(g: AttributedGraph, spec: BenchSpec, seed: int):
     times["preprocess"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    corpus = generate_corpus(ag, model, workers=spec.workers)
+    corpus = generate_corpus(ag, model)
     times["walk"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -207,7 +206,7 @@ def _time_pipeline(g: AttributedGraph, spec: BenchSpec, seed: int):
 
 def run_scaling(spec: BenchSpec, run_nodes: bool = True, run_attrs: bool = True) -> BenchResult:
     """Median stage timings over the node and attribute series, plus OLS fits."""
-    result = BenchResult(workers=spec.workers)
+    result = BenchResult()
 
     def run_series(series: str, points):
         sizes, totals = [], []

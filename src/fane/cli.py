@@ -74,12 +74,11 @@ OPTIONS = {o.key: o for o in [
     Option("negatives", int, 5, None, "embed run"),
     Option("epochs", int, 5, None, "embed run"),
     Option("lr", float, 0.025, None, "embed run"),
-    Option("deterministic", bool, True, None, "embed run"),
     Option("ratios", str, "0.5", None, "eval run"),
     Option("C", float, 1.0, None, "eval run"),
     Option("reps", int, 10, None, "eval run"),
     Option("seed", int, _default_seed, None, "walk embed eval viz bench run"),
-    Option("workers", int, 1, None, "walk embed bench run"),
+    Option("workers", int, 1, None, "embed run"),
     Option("out", str, None, None, "build run"),
     Option("save_corpus", bool, False, None, "run"),
     Option("log_level", str, "info", ("debug", "info", "warning", "error", "critical"),
@@ -162,11 +161,14 @@ def _artifact(path):
 # ---------------------------------------------------------------- helpers
 
 def _parse_ratios(text: str) -> list[float]:
+    """"start:stop:step" = inclusive range; "a,b,c" = explicit."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("ratio range must be start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not (step > 0 and stop >= start):
+            raise ValueError(f"ratios {text!r}: the step must be positive and the stop at least the start")
         vals = []
         x = start
         while x <= stop + 1e-9:
@@ -229,7 +231,7 @@ def _train_params(cfg) -> TrainParams:
     return TrainParams(
         dimension=cfg["dim"], window=cfg["window"], negatives=cfg["negatives"],
         epochs=cfg["epochs"], learning_rate=cfg["lr"], seed=cfg["seed"],
-        workers=cfg["workers"], deterministic=cfg["deterministic"],
+        workers=cfg["workers"],
     )
 
 
@@ -262,7 +264,7 @@ def cmd_build(args, cfg) -> int:
 def cmd_walk(args, cfg) -> int:
     ag = _build_augmented(AttributedGraph.load_dir(args.graph), cfg)
     model = preprocess_transitions(ag, _walk_params(cfg), tau=cfg["tau"])
-    corpus = generate_corpus(ag, model, workers=cfg["workers"])
+    corpus = generate_corpus(ag, model)
     with _artifact(args.out) as tmp:
         corpus.save(tmp)
     print(f"wrote {corpus.n_walks} walks of length {corpus.walk_length} to {args.out}")
@@ -331,7 +333,6 @@ def cmd_bench(args, cfg) -> int:
         attr_n_nodes=args.attr_nodes,
         repetitions=args.reps,
         seed=cfg["seed"],
-        workers=cfg["workers"],
         tau=args.tau,
         timeout_seconds=args.timeout,
     )
@@ -368,7 +369,7 @@ def run_pipeline(cfg: dict, dry_run: bool = False) -> dict:
 
         stage = "walk"
         model = preprocess_transitions(ag, _walk_params(cfg), tau=cfg["tau"])
-        corpus = generate_corpus(ag, model, workers=cfg["workers"])
+        corpus = generate_corpus(ag, model)
         if cfg["save_corpus"]:
             artifacts["corpus"] = out / "corpus.txt"
             with _artifact(artifacts["corpus"]) as tmp:

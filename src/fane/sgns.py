@@ -34,8 +34,7 @@ class TrainParams:
     seed: int = 1
     dynamic_window: bool = True
     subsample: float = 0.0      # 0 disables frequent-token subsampling
-    workers: int = 1
-    deterministic: bool = True  # force sequential updates regardless of workers
+    workers: int = 1            # > 1 trains hogwild: lock-free, not reproducible
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -130,19 +129,21 @@ class EmbeddingMatrix:
 
     @classmethod
     def load_text(cls, path) -> "EmbeddingMatrix":
+        """Errors name the file line: the header is line 1, row i line i + 2."""
         with open(path, "r", encoding="utf-8") as f:
-            header = f.readline().split()
-            if len(header) != 2:
-                raise ValueError("embedding file: bad header")
-            n, d = int(header[0]), int(header[1])
+            n, d = _header(f.readline())
             keys = []
             vecs = np.empty((n, d), np.float32)
-            for i in range(n):
+            for line in range(2, n + 2):
                 parts = f.readline().split()
                 if len(parts) != d + 1:
-                    raise ValueError(f"embedding file: bad row {i}")
+                    raise ValueError(f"embedding file line {line}: expected a key and {d} values, "
+                                     f"got {len(parts)} fields")
                 keys.append(parts[0])
-                vecs[i] = [float(t) for t in parts[1:]]
+                try:
+                    vecs[line - 2] = [float(t) for t in parts[1:]]
+                except ValueError as e:
+                    raise ValueError(f"embedding file line {line}: {e}") from None
         return cls(keys=keys, vectors=vecs)
 
     def save_binary(self, path) -> None:
@@ -155,24 +156,32 @@ class EmbeddingMatrix:
 
     @classmethod
     def load_binary(cls, path) -> "EmbeddingMatrix":
+        """Errors name the record as a file line: the header is line 1, row
+        i (key, space, d little-endian float32, newline) line i + 2."""
         with open(path, "rb") as f:
-            header = f.readline().split()
-            n, d = int(header[0]), int(header[1])
-            keys = []
-            vecs = np.empty((n, d), np.float32)
-            for i in range(n):
-                key = bytearray()
-                while True:
-                    ch = f.read(1)
-                    if ch == b" ":
-                        break
-                    if not ch:
-                        raise ValueError("embedding file: truncated")
-                    key.extend(ch)
-                keys.append(key.decode())
-                vecs[i] = np.frombuffer(f.read(4 * d), "<f4")
-                f.read(1)  # trailing newline
+            n, d = _header(f.readline())
+            data = f.read()
+        keys = []
+        vecs = np.empty((n, d), np.float32)
+        pos = 0
+        for line in range(2, n + 2):
+            sp = data.find(b" ", pos)
+            end = sp + 1 + 4 * d
+            if sp < 0 or data[end:end + 1] != b"\n":
+                raise ValueError(f"embedding file line {line}: expected a key, a space, "
+                                 f"{d} float32 values and a newline")
+            keys.append(data[pos:sp].decode())
+            vecs[line - 2] = np.frombuffer(data, "<f4", d, sp + 1)
+            pos = end + 1
         return cls(keys=keys, vectors=vecs)
+
+
+def _header(line) -> tuple[int, int]:
+    """(count, dimension) from an embedding file's first line, text or bytes."""
+    fields = line.split()
+    if len(fields) != 2 or not (fields[0].isdigit() and fields[1].isdigit()) or int(fields[1]) < 1:
+        raise ValueError("embedding file line 1: bad header, expected '<count> <dimension>'")
+    return int(fields[0]), int(fields[1])
 
 
 def _pairs_for_chunk(idx_chunk: np.ndarray, kp_chunk: np.ndarray, window: int):
@@ -206,9 +215,9 @@ def train(walks: np.ndarray, params: TrainParams, key_fn=None,
           chunk_walks: int = 1024, batch_pairs: int = 8192) -> EmbeddingMatrix:
     """Train an embedding over a (n_walks, walk_length) token matrix.
 
-    key_fn maps a token to its output key (default str). Deterministic for a
-    fixed seed when params.deterministic or workers == 1; with workers > 1
-    and deterministic=False, updates race benignly (hogwild) and results are
+    key_fn maps a token to its output key (default str). With workers == 1
+    (the default) updates are sequential and byte-reproducible for a fixed
+    seed; with workers > 1 they race benignly (hogwild) and results are
     only statistically reproducible.
     """
     walks = np.asarray(walks)
@@ -257,7 +266,6 @@ def train(walks: np.ndarray, params: TrainParams, key_fn=None,
     if total_pairs == 0:
         raise ValueError("corpus produced no training pairs")
 
-    use_threads = params.workers > 1 and not params.deterministic
     losses = []
     done = 0
     for e in range(params.epochs):
@@ -286,7 +294,7 @@ def train(walks: np.ndarray, params: TrainParams, key_fn=None,
                 return _apply_batch(in_vecs, out_vecs, centers[b0:b1], contexts[b0:b1],
                                     negs[b0:b1], lr)
 
-            if use_threads:
+            if params.workers > 1:
                 with concurrent.futures.ThreadPoolExecutor(max_workers=params.workers) as pool:
                     for part in pool.map(run_batch, batches):
                         epoch_loss += part

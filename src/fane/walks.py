@@ -20,13 +20,13 @@ step follows pi exactly.
 The first trial of every step reads the walk's own counter window of a
 Philox stream keyed by (seed, iteration); later trials read a counter-based
 Philox4x32 stream keyed by the seed and addressed by (start, step, trial,
-iteration). Corpora are therefore reproducible and independent of batching
-and worker scheduling.
+iteration). A corpus walks its (iteration, start) pairs in canonical order,
+one chunk of walkers at a time, with no shuffle and no threads; since every
+walk draws only from its own counters, the chunk size cannot change it.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import logging
 from dataclasses import dataclass
 
@@ -43,8 +43,7 @@ SENTINEL_START = -1
 
 logger = logging.getLogger(__name__)
 
-# sub-stream tags: the shuffle order's generator, the retry stream's key
-_ORDER_STREAM = 1
+# sub-stream tag of the retry stream's key
 _RETRY_STREAM = 2
 
 # table entries per chunk of the batched alias and prefix-sum builds;
@@ -53,6 +52,10 @@ _CHUNK_ENTRIES = 1 << 16
 
 # rejection trials per table-less step before its one exact draw from pi
 _MAX_TRIALS = 16
+
+# first-trial uniforms per chunk of a corpus, 2(l-1) per walker; bounds the
+# chunk's uniform block (8 MB of float64) whatever the graph's size
+_CHUNK_UNIFORMS = 1 << 20
 
 # Philox4x32-10 multipliers and Weyl key increments
 _PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
@@ -151,11 +154,11 @@ def transition_distribution(g: AugmentedGraph, params: WalkParams, u: int, v: in
 class TransitionModel:
     """Alias tables for the states (u -> v) with deg(v) <= tau.
 
-    Immutable after preprocessing; shareable across workers. ``edge_off[e]``
-    indexes the flat alias arrays for the directed edge with CSR position e,
-    or -1 when deg(v) > tau (same for ``node_off`` and first steps). Those
-    states are sampled by batched rejection, from prefix sums that each
-    corpus builds for their rows; tau=0 builds no table at all.
+    Immutable after preprocessing. ``edge_off[e]`` indexes the flat alias
+    arrays for the directed edge with CSR position e, or -1 when deg(v) >
+    tau (same for ``node_off`` and first steps). Those states are sampled by
+    batched rejection, from prefix sums that each corpus builds for their
+    rows; tau=0 builds no table at all.
     """
 
     params: WalkParams
@@ -292,15 +295,20 @@ def _alias_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sp = sp - ~down
 
 
-def _philox(seed: int, iteration: int) -> np.random.Generator:
-    """Philox stream of one iteration; read as an (n_total, 2(l-1)) uniform
-    block, row v is the stream of the walk at v.
+def _uniform_rows(seed: int, iteration: int, lo: int, out: np.ndarray) -> None:
+    """Rows lo .. lo + len(out) of the iteration's uniform block into ``out``.
 
-    Philox is counter-based: row v occupies a fixed counter window, which is
-    what makes per-walk randomness independent of batching and scheduling.
+    The block is the Philox stream keyed by (seed, iteration) read as an
+    (n_total, 2(l-1)) array; row v is the stream of the walk from v. Philox
+    is counter-based and each counter yields four doubles, so the rows are
+    reached by skipping whole counters, then the head of one.
     """
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, iteration & 0xFFFFFFFFFFFFFFFF], np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    gen = np.random.Generator(np.random.Philox(key=key))
+    skip, head = divmod(lo * out.shape[1], 4)
+    gen.bit_generator.advance(skip)
+    gen.random(head)
+    gen.random(out=out)
 
 
 def _philox4x32(ctr, key) -> tuple:
@@ -316,14 +324,13 @@ def _philox4x32(ctr, key) -> tuple:
     return c0, c1, c2, c3
 
 
-def _retry_uniforms(seed: int, iteration: int, start: np.ndarray, step: int,
+def _retry_uniforms(seed: int, iteration: np.ndarray, start: np.ndarray, step: int,
                     trial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u1, u2) of rejection trial ``trial[i]`` for the walk from ``start[i]``:
+    """(u1, u2) of trial ``trial[i]`` for the walk (iteration[i], start[i]):
     the Philox4x32 block at counter (start, step, trial, iteration) under the
     seed's two words, the high one tagged with ``_RETRY_STREAM``."""
-    n = len(start)
-    words = (start.astype(np.uint64), np.full(n, step & _M32, np.uint64),
-             np.asarray(trial, np.uint64), np.full(n, iteration & _M32, np.uint64))
+    words = (start.astype(np.uint64), np.full(len(start), step & _M32, np.uint64),
+             np.asarray(trial, np.uint64), iteration.astype(np.uint64) & np.uint64(_M32))
     o0, o1, o2, o3 = _philox4x32(words, (seed & _M32, ((seed >> 32) ^ _RETRY_STREAM) & _M32))
     unit = 1.0 / (1 << 53)
     return (((o0 >> 5) << 26) + (o1 >> 6)) * unit, (((o2 >> 5) << 26) + (o3 >> 6)) * unit
@@ -419,7 +426,7 @@ def _reject(g: AugmentedGraph, params: WalkParams, sums, prev: np.ndarray, cur: 
         if first == 0:
             a, b = u1, u2
         else:
-            a, b = _retry_uniforms(seed, iteration, start[w], step,
+            a, b = _retry_uniforms(seed, iteration[w], start[w], step,
                                    np.tile(np.arange(first, first + n), len(live)))
         u, v, z = prev[w], cur[w], total[w]
         y = a * (z + extra[w])
@@ -450,7 +457,7 @@ def _reject(g: AugmentedGraph, params: WalkParams, sums, prev: np.ndarray, cur: 
         first, n = first + n, min(3 * (first + n), _MAX_TRIALS - first - n)
     if len(live):
         counts[3] += len(live)
-        a, _ = _retry_uniforms(seed, iteration, start[live], step, np.full(len(live), _MAX_TRIALS))
+        a, _ = _retry_uniforms(seed, iteration[live], start[live], step, np.full(len(live), _MAX_TRIALS))
         for i, ai in zip(live.tolist(), a.tolist()):
             out[i] = _exact_draw(g, params, int(prev[i]), int(cur[i]), ai)
     return out
@@ -463,9 +470,10 @@ def _next_positions(g: AugmentedGraph, model: TransitionModel, sums, prev: np.nd
 
     ``edge`` is the CSR index of (prev -> cur), -1 for a first step. States
     with a table draw from it with (u1, u2); the rest go through ``_reject``
-    together, with ``retry`` = (seed, iteration, start, step) and ``sums``
-    from ``_proposal_sums``. ``counts`` accumulates [table steps, rejection
-    steps, rejection trials, exact fallbacks].
+    together, with ``retry`` = (seed, iteration, start, step), iteration and
+    start per walker, and ``sums`` from ``_proposal_sums``. ``counts``
+    accumulates [table steps, rejection steps, rejection trials, exact
+    fallbacks].
     """
     idx = np.empty(len(cur), np.int64)
     first = edge < 0
@@ -484,33 +492,35 @@ def _next_positions(g: AugmentedGraph, model: TransitionModel, sums, prev: np.nd
         counts[1] += len(rows)
         seed, iteration, start, step = retry
         idx[rows] = _reject(g, model.params, sums, prev[rows], cur[rows], u1[rows], u2[rows],
-                            (seed, iteration, start[rows], step), counts)
+                            (seed, iteration[rows], start[rows], step), counts)
     return idx
 
 
-def _walk_batch_impl(g: AugmentedGraph, model: TransitionModel, sums, starts: np.ndarray,
-                     ublock: np.ndarray, iteration: int) -> tuple[np.ndarray, np.ndarray]:
-    """Advance a batch of walks in lockstep; returns (len(starts), l) ids
-    and the step counts of ``_next_positions``."""
-    l = model.params.walk_length
-    B = len(starts)
-
+def _walk_chunk(g: AugmentedGraph, model: TransitionModel, sums, iteration: np.ndarray,
+                start: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The walks of the (iteration[i], start[i]) pairs, advanced in
+    lockstep, as a (len(start), l) id array; adds the step counts of
+    ``_next_positions`` to ``counts``. Within a run of equal iteration the
+    starts must be consecutive, as in the canonical order."""
+    seed, l = model.params.seed, model.params.walk_length
+    B = len(start)
+    ublock = np.empty((B, 2 * (l - 1)))
+    cuts = [0, *(np.flatnonzero(np.diff(iteration)) + 1).tolist(), B]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        _uniform_rows(seed, int(iteration[a]), int(start[a]), ublock[a:b])
     walks = np.empty((B, l), np.int32)
-    walks[:, 0] = starts
-    cur = starts.astype(np.int64)
+    walks[:, 0] = start
+    cur = start.astype(np.int64)
     prev = np.full(B, SENTINEL_START, np.int64)
     edge = np.full(B, -1, np.int64)   # CSR index of (prev -> cur)
-    counts = np.zeros(4, np.int64)
-
     for s in range(l - 1):
         idx = _next_positions(g, model, sums, prev, cur, edge, ublock[:, 2 * s], ublock[:, 2 * s + 1],
-                              (model.params.seed, iteration, starts, s), counts)
+                              (seed, iteration, start, s), counts)
         edge = g.indptr[cur] + idx
         prev = cur
         cur = g.neighbors[edge].astype(np.int64)
         walks[:, s + 1] = cur
-
-    return walks, counts
+    return walks
 
 
 def edge_csr_index(g: AugmentedGraph, u: int, v: int) -> int:
@@ -535,7 +545,8 @@ def sample_next(g: AugmentedGraph, model: TransitionModel, u: int, v: int,
     sums = _proposal_sums(g, model, np.array([v]))
     return _next_positions(g, model, sums, np.full(n_samples, u, np.int64), np.full(n_samples, v, np.int64),
                            np.full(n_samples, e, np.int64), u1, u2,
-                           (seed, 0, np.arange(n_samples), 0), np.zeros(4, np.int64))
+                           (seed, np.zeros(n_samples, np.int64), np.arange(n_samples), 0),
+                           np.zeros(4, np.int64))
 
 
 def generate_walk(g: AugmentedGraph, model: TransitionModel, start: int,
@@ -544,16 +555,8 @@ def generate_walk(g: AugmentedGraph, model: TransitionModel, start: int,
     Like a corpus, it first builds the proposal sums of every table-less row."""
     if g.degree(start) == 0:
         raise ValueError(f"start node {start} has no neighbors")
-    # row ``start`` of the iteration's uniform block: each Philox counter
-    # yields four doubles, so skip whole counters, then the head of one
-    n = 2 * (model.params.walk_length - 1)
-    skip, head = divmod(int(start) * n, 4)
-    gen = _philox(model.params.seed, iteration)
-    gen.bit_generator.advance(skip)
-    u = gen.random(head + n)[head:]
-    walks, _ = _walk_batch_impl(g, model, _proposal_sums(g, model), np.array([start], np.int64),
-                                u[None, :], iteration)
-    return walks[0]
+    return _walk_chunk(g, model, _proposal_sums(g, model), np.array([iteration], np.int64),
+                       np.array([start], np.int64), np.zeros(4, np.int64))[0]
 
 
 @dataclass
@@ -589,64 +592,45 @@ def load_corpus_tokens(path) -> tuple[np.ndarray, list[str]]:
     """Read a corpus file into (index matrix, token list).
 
     Tokens are numbered in first-appearance order; the matrix holds those
-    indices. All lines must have equal length.
+    indices. Blank lines are skipped; all other lines must have equal
+    length, and the error names the first file line that differs.
     """
     vocab: dict[str, int] = {}
     rows: list[list[int]] = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             toks = line.split()
             if not toks:
                 continue
+            if rows and len(toks) != len(rows[0]):
+                raise ValueError(f"corpus line {lineno}: walk of length {len(toks)}, "
+                                 f"expected {len(rows[0])} as in the first walk")
             rows.append([vocab.setdefault(t, len(vocab)) for t in toks])
     if not rows:
         raise ValueError("empty corpus file")
-    length = len(rows[0])
-    if any(len(r) != length for r in rows):
-        raise ValueError("corpus walks have unequal lengths")
-    tokens = [None] * len(vocab)
-    for t, i in vocab.items():
-        tokens[i] = t
-    return np.asarray(rows, np.int32), tokens
+    return np.asarray(rows, np.int32), list(vocab)   # dicts keep first-appearance order
 
 
-def generate_corpus(g: AugmentedGraph, model: TransitionModel, workers: int = 1,
-                    batch_size: int = 16384) -> Corpus:
+def generate_corpus(g: AugmentedGraph, model: TransitionModel) -> Corpus:
     """Alg.-style corpus: walks_per_node iterations over every start node.
 
     Starts cover all of V' (or raw nodes only with raw_starts_only), each
-    exactly walks_per_node times. Generation order within an iteration is
-    shuffled (and possibly parallel); assembly is canonical by
-    (iteration, start id) and independent of worker count. Logs at INFO
-    how many steps drew from tables and how many by rejection, the mean
-    trials per rejection step and the exact fallbacks.
+    exactly walks_per_node times. The (iteration, start id) pairs are walked
+    in that canonical order, sequentially, in chunks of at most
+    ``_CHUNK_UNIFORMS`` first-trial uniforms that may straddle iterations.
+    Logs at INFO how many steps drew from tables and how many by rejection,
+    the mean trials per rejection step and the exact fallbacks.
     """
     params = model.params
-    n_total = g.n_total
-    n_starts = g.n_raw if params.raw_starts_only else n_total
-    starts = np.arange(n_starts, dtype=np.int64)
-    l = params.walk_length
-    all_walks = np.empty((params.walks_per_node * n_starts, l), np.int32)
+    n_starts = g.n_raw if params.raw_starts_only else g.n_total
+    n_walks = params.walks_per_node * n_starts
+    all_walks = np.empty((n_walks, params.walk_length), np.int32)
     sums = _proposal_sums(g, model)
     counts = np.zeros(4, np.int64)
-
-    for it in range(params.walks_per_node):
-        ublock = _philox(params.seed, it).random((n_total, 2 * (l - 1)))
-        order = np.random.default_rng((params.seed, _ORDER_STREAM, it)).permutation(starts)
-        chunks = [order[i:i + batch_size] for i in range(0, n_starts, batch_size)]
-        base = it * n_starts
-
-        def run_chunk(chunk):
-            res, chunk_counts = _walk_batch_impl(g, model, sums, chunk, ublock[chunk], it)
-            all_walks[base + chunk] = res
-            return chunk_counts
-
-        if workers > 1 and len(chunks) > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                counts += sum(pool.map(run_chunk, chunks))
-        else:
-            for chunk in chunks:
-                counts += run_chunk(chunk)
+    step = max(1, _CHUNK_UNIFORMS // (2 * (params.walk_length - 1)))
+    for k in range(0, n_walks, step):
+        iteration, start = np.divmod(np.arange(k, min(k + step, n_walks)), n_starts)
+        all_walks[k:k + len(start)] = _walk_chunk(g, model, sums, iteration, start, counts)
 
     table, rejection, trials, fallbacks = counts.tolist()
     logger.info("walk steps: %d from tables, %d by rejection at %.3f trials each, %d exact fallbacks",

@@ -22,6 +22,22 @@ def test_parse_ratios():
         [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     assert _parse_ratios("0.5") == [0.5]
     assert _parse_ratios("0.25,0.75") == [0.25, 0.75]
+    assert _parse_ratios("0.5:0.5:0.1") == [0.5]
+
+
+@pytest.mark.parametrize("ratios", ["0.1:0.9:0", "0.5:0.1:-0.1", "0.1:0.9:-0.1", "0.9:0.1:0.1"])
+def test_ratio_range_must_step_up(ratios, tmp_path, capsys):
+    """A step of 0 never ends and a stop below the start gives no ratio: exit 2."""
+    with pytest.raises(ValueError, match=f"ratios '{ratios}'"):
+        _parse_ratios(ratios)
+    emb = tmp_path / "emb.txt"
+    emb.write_text("2 1\n0 0.5\n1 -0.5\n")
+    (tmp_path / "labels.txt").write_text("0 x\n1 y\n")
+    out = tmp_path / "report.csv"
+    assert main(["eval", "--embeddings", str(emb), "--labels", str(tmp_path / "labels.txt"),
+                 f"--ratios={ratios}", "--out", str(out)]) == 2
+    assert f"ratios '{ratios}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_series():
@@ -186,6 +202,59 @@ def test_fane_seed_env_default(dataset, tmp_path, monkeypatch):
           "--walk-length", "8", "--walks-per-node", "2"])
     assert c1.read_bytes() == c3.read_bytes()
     assert c1.read_bytes() != c2.read_bytes()
+
+
+# a `fane run` manifest as written before TrainParams lost `deterministic`
+OLD_MANIFEST = """# fane-version=0.1.0
+# numpy-version=2.4.6
+# python=3.11.7
+C=1.0
+attr_format=sparse
+attr_weight=value
+beta_graph=augmented
+deterministic=true
+dim=4
+edges={edges}
+epochs=1
+log_level=info
+lr=0.025
+negatives=5
+out={out}
+p=1.0
+q=1.0
+r=1.0
+ratios=0.5
+raw_starts_only=false
+reps=2
+save_corpus=false
+seed=3
+strategy=tf
+tau=1024
+uniform_weight=1.0
+walk_length=8
+walks_per_node=2
+window=2
+workers=1
+"""
+
+
+def test_manifest_with_deterministic_key_exits_2(dataset, tmp_path, capsys):
+    """Sequential training is now workers=1 alone, so a manifest that still
+    says deterministic= does not replay: it names the line and the key."""
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(OLD_MANIFEST.format(edges=dataset / "edges.txt", out=tmp_path / "run"))
+    assert main(["run", "--config", str(manifest)]) == 2
+    assert "config line 8: unknown key 'deterministic'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [["walk", "--graph", "bundle"], ["bench", "--nodes", "10"]])
+def test_walk_and_bench_offer_no_workers_flag(argv, tmp_path, capsys):
+    """Walks run on one thread; only embed and run set the trainer's workers."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "x"), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_error(dataset, tmp_path):

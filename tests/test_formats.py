@@ -1,8 +1,9 @@
 import io
 
+import numpy as np
 import pytest
 
-from fane import GraphFormatError, load_attributes, load_edge_list
+from fane import EmbeddingMatrix, GraphFormatError, load_attributes, load_edge_list
 from fane.cli import main
 from fane.graph import read_records
 
@@ -47,3 +48,48 @@ def test_attribute_index_must_fit_32_bits(tmp_path, capsys):
                "--out", str(tmp_path / "bundle")])
     assert rc == 2
     assert "attribute line 1: attribute index 3000000000 is 2^31 or more" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: bad header"),
+    ("2\n", "line 1: bad header"),
+    ("two 1\n", "line 1: bad header"),
+    ("2 0\n", "line 1: bad header"),
+    ("2 2\na 0.5 1\nb 0.5\n", "line 3: expected a key and 2 values, got 2 fields"),
+    ("2 2\na 0.5 1\n", "line 3: expected a key and 2 values, got 0 fields"),
+    ("2 2\na 0.5 1\nb x 1\n", "line 3: could not convert string to float: 'x'"),
+], ids=["empty", "one-field", "non-integer", "zero-dimension", "short-row", "missing-row",
+        "non-numeric"])
+def test_text_embedding_errors_name_file_line(tmp_path, capsys, text, message):
+    path = tmp_path / "emb.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^embedding file {message}"):
+        EmbeddingMatrix.load_text(path)
+    (tmp_path / "labels.txt").write_text("a x\nb y\n")
+    rc = main(["eval", "--embeddings", str(path), "--labels", str(tmp_path / "labels.txt"),
+               "--out", str(tmp_path / "report.csv")])
+    assert rc == 2
+    assert f"embedding file {message}" in capsys.readouterr().err
+
+
+def _binary_row(key: bytes, values) -> bytes:
+    return key + b" " + np.asarray(values, "<f4").tobytes() + b"\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"", "line 1: bad header"),
+    (b"2 x\n", "line 1: bad header"),
+    (b"2 2\n" + _binary_row(b"a", [1, 2]) + b"b", "line 3: expected a key, a space, 2 float32"),
+    (b"2 2\n" + _binary_row(b"a", [1, 2]) + b"b " + bytes(6), "line 3: expected a key, a space, 2 float32"),
+    (b"2 2\n" + _binary_row(b"a", [1, 2])[:-1] + b"xb " + bytes(9), "line 2: expected a key, a space, 2 float32"),
+], ids=["empty", "non-integer", "truncated-key", "short-vector", "no-newline"])
+def test_binary_embedding_errors_name_file_line(tmp_path, capsys, data, message):
+    path = tmp_path / "emb.bin"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^embedding file {message}"):
+        EmbeddingMatrix.load_binary(path)
+    (tmp_path / "labels.txt").write_text("a x\nb y\n")
+    rc = main(["eval", "--binary", "--embeddings", str(path), "--labels", str(tmp_path / "labels.txt"),
+               "--out", str(tmp_path / "report.csv")])
+    assert rc == 2
+    assert f"embedding file {message}" in capsys.readouterr().err

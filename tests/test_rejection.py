@@ -145,22 +145,43 @@ def test_sample_next_fits_pi_on_every_state_with_raw_beta(strategy):
 
 # ---------------------------------------------------------------- corpus
 
-def test_tau_zero_corpus_independent_of_workers_and_equal_to_walks(five_node_graph, caplog):
-    """Retries and fallbacks are addressed by (start, step, trial), so
-    scheduling cannot change a walk."""
+def test_tau_zero_corpus_independent_of_workers_and_equal_to_walks(five_node_graph, caplog,
+                                                                   monkeypatch):
+    """Retries and fallbacks are addressed by (iteration, start, step,
+    trial), so chunking cannot change a walk: 4-walker chunks straddle the
+    iteration boundaries of 6 starts, and 1-walker chunks walk alone."""
     params = WalkParams(p=0.1, q=0.01, r=0.5, walk_length=12, walks_per_node=3, seed=77)
     model = preprocess_transitions(five_node_graph, params, tau=0)
     with caplog.at_level(logging.INFO, logger="fane.walks"):
-        a = generate_corpus(five_node_graph, model, workers=1)
+        a = generate_corpus(five_node_graph, model)
     _, rejection, trials, fallbacks = _step_counts(caplog)
     assert trials > 2 and fallbacks > 0   # the retry stream and the fallback both ran
-    b = generate_corpus(five_node_graph, model, workers=3, batch_size=2)
-    assert a.walks.tobytes() == b.walks.tobytes()
+    for walkers in (4, 1):
+        monkeypatch.setattr(walks_module, "_CHUNK_UNIFORMS", walkers * 2 * (12 - 1))
+        b = generate_corpus(five_node_graph, model)
+        assert a.walks.tobytes() == b.walks.tobytes(), walkers
     n = five_node_graph.n_total
     for it in range(3):
         for start in range(n):
             assert np.array_equal(generate_walk(five_node_graph, model, start, iteration=it),
                                   a.walks[it * n + start]), (it, start)
+
+
+def test_tiny_graph_corpus_takes_one_batch_per_step(five_node_graph, monkeypatch):
+    """All 1,800 walks of the corpus fit one chunk, so the rejection step's
+    fixed numpy cost is paid l - 1 times, not walks_per_node * (l - 1)."""
+    calls = []
+    step = walks_module._next_positions
+
+    def counted(*args):
+        calls.append(len(args[3]))
+        return step(*args)
+
+    monkeypatch.setattr(walks_module, "_next_positions", counted)
+    params = WalkParams(p=2.0, q=0.5, r=0.5, walk_length=40, walks_per_node=300, seed=13)
+    corpus = generate_corpus(five_node_graph, preprocess_transitions(five_node_graph, params, tau=0))
+    assert corpus.n_walks == 300 * 6
+    assert calls == [300 * 6] * 39
 
 
 @pytest.mark.parametrize("tau", [0, 2, 1024])

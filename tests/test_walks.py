@@ -13,9 +13,11 @@ from fane import (SF, STF, TF, WalkParams, build_augmented, generate_corpus,
                   generate_walk, load_attributes, load_edge_list,
                   preprocess_transitions, transition_distribution,
                   first_step_distribution)
+from fane import walks as walks_module
+from fane.cli import main
 from fane.graph import AttributedGraph
 from fane.walks import (SENTINEL_START, STRATEGIES, TransitionMemoryError,
-                        edge_csr_index, sample_next)
+                        edge_csr_index, load_corpus_tokens, sample_next)
 from conftest import random_raw_graph
 from oracles import node2vec_reference as n2v
 from oracles.per_state_tables import per_state_tables
@@ -381,14 +383,19 @@ def test_corpus_includes_attr_starts_unless_disabled(five_node_graph):
     assert np.all(corpus.walks[:, 0] < five_node_graph.n_raw)
 
 
-def test_determinism_across_runs_and_workers(five_node_graph):
+def test_determinism_across_runs_and_workers(five_node_graph, monkeypatch):
+    """Runs and chunk sizes cannot change a corpus: 4-walker chunks
+    straddle the iteration boundaries of 6 starts, and 1-walker chunks walk
+    alone."""
     params = WalkParams(p=2.0, q=0.5, r=0.5, walk_length=12, walks_per_node=3, seed=77)
     model = preprocess_transitions(five_node_graph, params)
-    a = generate_corpus(five_node_graph, model, workers=1)
-    b = generate_corpus(five_node_graph, model, workers=1)
-    c = generate_corpus(five_node_graph, model, workers=3, batch_size=2)
-    assert np.array_equal(a.walks, b.walks)
-    assert np.array_equal(a.walks, c.walks)
+    a = generate_corpus(five_node_graph, model)
+    b = generate_corpus(five_node_graph, model)
+    assert a.walks.tobytes() == b.walks.tobytes()
+    for walkers in (4, 1):
+        monkeypatch.setattr(walks_module, "_CHUNK_UNIFORMS", walkers * 2 * (12 - 1))
+        c = generate_corpus(five_node_graph, model)
+        assert a.walks.tobytes() == c.walks.tobytes(), walkers
     w = generate_walk(five_node_graph, model, 4, iteration=2)
     assert np.array_equal(w, a.walks[2 * 6 + 4])
 
@@ -457,7 +464,6 @@ def test_corpus_file_round_trip(five_node_graph, tmp_path):
     corpus = generate_corpus(five_node_graph, model)
     path = tmp_path / "corpus.txt"
     corpus.save(path)
-    from fane.walks import load_corpus_tokens
     matrix, tokens = load_corpus_tokens(path)
     assert matrix.shape == corpus.walks.shape
     # attribute tokens rendered as a<attrid>
@@ -466,6 +472,16 @@ def test_corpus_file_round_trip(five_node_graph, tmp_path):
     decoded = np.array([[tokens[t] for t in row] for row in matrix])
     expected = np.array([[corpus.token(int(v)) for v in row] for row in corpus.walks])
     assert np.array_equal(decoded, expected)
+
+
+def test_corpus_unequal_walk_names_file_line(tmp_path, capsys):
+    # blank lines are skipped but counted: the short walk is file line 4
+    path = tmp_path / "corpus.txt"
+    path.write_text("0 1 2\n\n1 2 0\n2 0\n0 1\n")
+    with pytest.raises(ValueError, match=r"^corpus line 4: walk of length 2, expected 3 as in the first walk$"):
+        load_corpus_tokens(path)
+    assert main(["embed", "--corpus", str(path), "--out", str(tmp_path / "emb.txt")]) == 2
+    assert "corpus line 4: walk of length 2" in capsys.readouterr().err
 
 
 def test_isolated_start_rejected(five_node_graph):
