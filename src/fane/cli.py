@@ -78,7 +78,6 @@ OPTIONS = {o.key: o for o in [
     Option("C", float, 1.0, None, "eval run"),
     Option("reps", int, 10, None, "eval run"),
     Option("seed", int, _default_seed, None, "walk embed eval viz bench run"),
-    Option("workers", int, 1, None, "embed run"),
     Option("out", str, None, None, "build run"),
     Option("save_corpus", bool, False, None, "run"),
     Option("log_level", str, "info", ("debug", "info", "warning", "error", "critical"),
@@ -231,7 +230,6 @@ def _train_params(cfg) -> TrainParams:
     return TrainParams(
         dimension=cfg["dim"], window=cfg["window"], negatives=cfg["negatives"],
         epochs=cfg["epochs"], learning_rate=cfg["lr"], seed=cfg["seed"],
-        workers=cfg["workers"],
     )
 
 

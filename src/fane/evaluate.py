@@ -231,10 +231,13 @@ def evaluate_classification(features, labels, ratios, C: float, repetitions: int
                             seed: int = 1, iters: int | None = None) -> ClassificationReport:
     """Train-ratio sweep of the classifier on fixed features."""
     labels = np.asarray(labels)
-    classes = np.unique(labels)
+    classes, counts = np.unique(labels, return_counts=True)
     report = ClassificationReport(C=C, seed=seed, repetitions=repetitions)
     for ratio in ratios:
         spec = SplitSpec(train_ratio=ratio, repetitions=repetitions, seed=seed)
+        if counts.max() < 2:
+            raise ValueError(f"train ratio {ratio}: every class has one member, so all "
+                             f"{len(labels)} rows go to train and no row is left to test")
         for rep, (tr, te) in enumerate(split(labels, spec)):
             mi, ma = classify_once(features, labels, tr, te, C, iters=iters, classes=classes)
             report.rows.append({"ratio": ratio, "rep": rep, "micro_f1": mi, "macro_f1": ma})

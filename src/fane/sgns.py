@@ -4,15 +4,16 @@ Training maximizes log sigma(f_in(c) . f_out(ctx)) + sum log sigma(-f_in(c)
 . f_out(neg)) over (center, context) pairs taken from a dynamic window of
 uniform size 1..k around each walk position, with negatives drawn from the
 unigram^0.75 noise distribution, each pair drawing its own negatives.
-Mini-batches apply the gradients of sgns_gradients; each side's row
-updates are summed by one sort and one np.add.reduceat. Everything is keyed
-by vocabulary position (first appearance in the corpus), so relabeling node
-ids permutes the output rows and nothing else.
+Training is one sequential loop, byte-reproducible for a fixed seed: every
+epoch draws its windows, subsampling and walk order from its own stream,
+and mini-batches apply the gradients of sgns_gradients in order; each
+side's row updates are summed by one sort and one np.add.reduceat.
+Everything is keyed by vocabulary position (first appearance in the
+corpus), so relabeling node ids permutes the output rows and nothing else.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,8 @@ from .alias import build_alias
 
 _INIT_STREAM = 0
 _EPOCH_STREAM = 10
+_CHUNK_WALKS = 1024     # walks whose pairs are drawn, shuffled and trained together
+_BATCH_PAIRS = 8192     # pairs per _apply_batch call, at most
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,6 @@ class TrainParams:
     seed: int = 1
     dynamic_window: bool = True
     subsample: float = 0.0      # 0 disables frequent-token subsampling
-    workers: int = 1            # > 1 trains hogwild: lock-free, not reproducible
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -144,6 +146,9 @@ class EmbeddingMatrix:
                     vecs[line - 2] = [float(t) for t in parts[1:]]
                 except ValueError as e:
                     raise ValueError(f"embedding file line {line}: {e}") from None
+            for line, rest in enumerate(f, n + 2):
+                if rest.strip():
+                    raise ValueError(f"embedding file line {line}: row beyond the header's count of {n}")
         return cls(keys=keys, vectors=vecs)
 
     def save_binary(self, path) -> None:
@@ -173,6 +178,8 @@ class EmbeddingMatrix:
             keys.append(data[pos:sp].decode())
             vecs[line - 2] = np.frombuffer(data, "<f4", d, sp + 1)
             pos = end + 1
+        if pos < len(data):
+            raise ValueError(f"embedding file line {n + 2}: row beyond the header's count of {n}")
         return cls(keys=keys, vectors=vecs)
 
 
@@ -184,21 +191,25 @@ def _header(line) -> tuple[int, int]:
     return int(fields[0]), int(fields[1])
 
 
-def _pairs_for_chunk(idx_chunk: np.ndarray, kp_chunk: np.ndarray, window: int):
-    """(centers, contexts) vocab-index arrays for a chunk of walks.
+def _pair_masks(idx: np.ndarray, kp: np.ndarray, window: int):
+    """For each offset o, the masks over (idx[:, :l-o], idx[:, o:]) of the
+    pairs that exist: right where the left token's window kp reaches o, left
+    where the right token's does. Entries of -1 are padding (from
+    subsampling compaction) and never pair."""
+    l = idx.shape[1]
+    for o in range(1, min(window, l - 1) + 1):
+        valid = (idx[:, :l - o] >= 0) & (idx[:, o:] >= 0)
+        yield o, (kp[:, :l - o] >= o) & valid, (kp[:, o:] >= o) & valid
 
-    Entries of -1 are padding (from subsampling compaction) and never pair.
-    """
+
+def _pairs_for_chunk(idx_chunk: np.ndarray, kp_chunk: np.ndarray, window: int):
+    """(centers, contexts) vocab-index arrays for a chunk of walks."""
     l = idx_chunk.shape[1]
     cs, os_ = [], []
-    for o in range(1, min(window, l - 1) + 1):
-        valid = (idx_chunk[:, :l - o] >= 0) & (idx_chunk[:, o:] >= 0)
-        right = (kp_chunk[:, :l - o] >= o) & valid
-        left = (kp_chunk[:, o:] >= o) & valid
-        cs.append(idx_chunk[:, :l - o][right])
-        os_.append(idx_chunk[:, o:][right])
-        cs.append(idx_chunk[:, o:][left])
-        os_.append(idx_chunk[:, :l - o][left])
+    for o, right, left in _pair_masks(idx_chunk, kp_chunk, window):
+        first, second = idx_chunk[:, :l - o], idx_chunk[:, o:]
+        cs += [first[right], second[left]]
+        os_ += [second[right], first[left]]
     return np.concatenate(cs), np.concatenate(os_)
 
 
@@ -211,14 +222,30 @@ def _compact_rows(idx: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return packed
 
 
-def train(walks: np.ndarray, params: TrainParams, key_fn=None,
-          chunk_walks: int = 1024, batch_pairs: int = 8192) -> EmbeddingMatrix:
+def _epoch_draws(idx: np.ndarray, keep_prob, params: TrainParams, epoch: int):
+    """Epoch ``epoch``'s draws from its own stream (seed, _EPOCH_STREAM, epoch):
+    the subsampled token matrix, the window sizes kp, the walk order, and the
+    generator, which goes on to draw the epoch's pair shuffles and negatives.
+    kp's dtype is the smallest that holds the window."""
+    rng = np.random.default_rng((params.seed, _EPOCH_STREAM, epoch))
+    kp_type = np.min_scalar_type(params.window)
+    if params.dynamic_window:
+        kp = rng.integers(1, params.window + 1, size=idx.shape, dtype=kp_type)
+    else:
+        kp = np.full(idx.shape, params.window, kp_type)
+    if keep_prob is not None:
+        idx = _compact_rows(idx, rng.random(idx.shape) < keep_prob[idx])
+    return idx, kp, rng.permutation(len(idx)), rng
+
+
+def train(walks: np.ndarray, params: TrainParams, key_fn=None) -> EmbeddingMatrix:
     """Train an embedding over a (n_walks, walk_length) token matrix.
 
-    key_fn maps a token to its output key (default str). With workers == 1
-    (the default) updates are sequential and byte-reproducible for a fixed
-    seed; with workers > 1 they race benignly (hogwild) and results are
-    only statistically reproducible.
+    key_fn maps a token to its output key (default str). Updates are
+    sequential, so the result is byte-reproducible for a fixed seed. The
+    learning rate decays linearly over the exact pair budget: one pass
+    counts every epoch's pairs, then training redraws each epoch from its
+    stream, so memory holds one epoch's draws at a time.
     """
     walks = np.asarray(walks)
     if walks.ndim != 2:
@@ -236,74 +263,44 @@ def train(walks: np.ndarray, params: TrainParams, key_fn=None,
     out_vecs = np.zeros((V, d), np.float32)
 
     # small vocabularies need small batches to stay close to sequential SGD
-    batch_pairs = min(batch_pairs, max(256, 4 * V))
+    batch_pairs = min(_BATCH_PAIRS, max(256, 4 * V))
 
-    n_walks, l = idx.shape
     keep_prob = None
     if params.subsample > 0:
         freq = counts / counts.sum()
         keep_prob = np.minimum(1.0, np.sqrt(params.subsample / freq))
 
-    # exact pair budget for the linear lr decay
-    epoch_state = []
+    # exact pair budget for the lr decay; each exhausted _pair_masks frees its epoch's draws
     total_pairs = 0
     for e in range(params.epochs):
-        rng_e = np.random.default_rng((params.seed, _EPOCH_STREAM, e))
-        if params.dynamic_window:
-            kp = rng_e.integers(1, params.window + 1, size=(n_walks, l), dtype=np.uint8)
-        else:
-            kp = np.full((n_walks, l), params.window, np.uint8)
-        idx_e = idx
-        if keep_prob is not None:
-            keep = rng_e.random((n_walks, l)) < keep_prob[idx]
-            idx_e = _compact_rows(idx, keep)
-        perm = rng_e.permutation(n_walks)
-        epoch_state.append((kp, idx_e, perm, rng_e))
-        for o in range(1, min(params.window, l - 1) + 1):
-            valid = (idx_e[:, :l - o] >= 0) & (idx_e[:, o:] >= 0)
-            total_pairs += int(((kp[:, :l - o] >= o) & valid).sum())
-            total_pairs += int(((kp[:, o:] >= o) & valid).sum())
+        masks = _pair_masks(*_epoch_draws(idx, keep_prob, params, e)[:2], params.window)
+        total_pairs += sum(int(right.sum()) + int(left.sum()) for _, right, left in masks)
     if total_pairs == 0:
         raise ValueError("corpus produced no training pairs")
 
-    losses = []
-    done = 0
+    losses, done = [], 0
     for e in range(params.epochs):
-        kp, idx_e, perm, rng_e = epoch_state[e]
-        epoch_loss = 0.0
-        epoch_pairs = 0
-        for c0 in range(0, n_walks, chunk_walks):
-            rows = perm[c0:c0 + chunk_walks]
+        idx_e, kp, perm, rng_e = _epoch_draws(idx, keep_prob, params, e)
+        epoch_loss, epoch_pairs = 0.0, 0
+        for c0 in range(0, len(perm), _CHUNK_WALKS):
+            rows = perm[c0:c0 + _CHUNK_WALKS]
             centers, contexts = _pairs_for_chunk(idx_e[rows], kp[rows], params.window)
             if len(centers) == 0:
                 continue
             shuffle = rng_e.permutation(len(centers))
-            centers = centers[shuffle]
-            contexts = contexts[shuffle]
+            centers, contexts = centers[shuffle], contexts[shuffle]
             nu = rng_e.random((2, len(centers), params.negatives))
             j = np.minimum((nu[0] * V).astype(np.int32), V - 1)
             negs = np.where(nu[1] < noise_accept[j], j, noise_alias[j]).astype(np.int32)
-            batches = []
             for b0 in range(0, len(centers), batch_pairs):
-                frac = (done + b0) / total_pairs
-                lr = max(params.min_learning_rate, params.learning_rate * (1.0 - frac))
-                batches.append((b0, min(b0 + batch_pairs, len(centers)), lr))
-
-            def run_batch(span):
-                b0, b1, lr = span
-                return _apply_batch(in_vecs, out_vecs, centers[b0:b1], contexts[b0:b1],
-                                    negs[b0:b1], lr)
-
-            if params.workers > 1:
-                with concurrent.futures.ThreadPoolExecutor(max_workers=params.workers) as pool:
-                    for part in pool.map(run_batch, batches):
-                        epoch_loss += part
-            else:
-                for span in batches:
-                    epoch_loss += run_batch(span)
+                lr = max(params.min_learning_rate, params.learning_rate * (1.0 - (done + b0) / total_pairs))
+                b1 = b0 + batch_pairs
+                epoch_loss += _apply_batch(in_vecs, out_vecs, centers[b0:b1], contexts[b0:b1],
+                                           negs[b0:b1], lr)
             done += len(centers)
             epoch_pairs += len(centers)
         losses.append(epoch_loss / max(epoch_pairs, 1))
+        del idx_e, kp, perm    # before the next epoch draws its own
 
     order = np.argsort(tokens, kind="stable")
     keys = [(key_fn or str)(int(t)) for t in tokens[order]]

@@ -204,7 +204,7 @@ def test_fane_seed_env_default(dataset, tmp_path, monkeypatch):
     assert c1.read_bytes() != c2.read_bytes()
 
 
-# a `fane run` manifest as written before TrainParams lost `deterministic`
+# a `fane run` manifest as written before TrainParams lost `deterministic` and `workers`
 OLD_MANIFEST = """# fane-version=0.1.0
 # numpy-version=2.4.6
 # python=3.11.7
@@ -239,22 +239,58 @@ workers=1
 
 
 def test_manifest_with_deterministic_key_exits_2(dataset, tmp_path, capsys):
-    """Sequential training is now workers=1 alone, so a manifest that still
-    says deterministic= does not replay: it names the line and the key."""
+    """Training is sequential without a setting, so a manifest that still
+    says deterministic= or workers= does not replay: it names the line and
+    the key. With both lines deleted it replays."""
     manifest = tmp_path / "manifest.txt"
-    manifest.write_text(OLD_MANIFEST.format(edges=dataset / "edges.txt", out=tmp_path / "run"))
-    assert main(["run", "--config", str(manifest)]) == 2
-    assert "config line 8: unknown key 'deterministic'" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
+    text = OLD_MANIFEST.format(edges=dataset / "edges.txt", out=tmp_path / "run")
+    for setting, line in (("deterministic=true", 8), ("workers=1", 29)):
+        manifest.write_text(text)
+        assert main(["run", "--config", str(manifest)]) == 2
+        key = setting.split("=")[0]
+        assert f"config line {line}: unknown key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        text = text.replace(setting + "\n", "")
+    manifest.write_text(text)
+    assert main(["run", "--config", str(manifest)]) == 0
+    assert (tmp_path / "run" / "embeddings.txt").exists()
 
 
-@pytest.mark.parametrize("argv", [["walk", "--graph", "bundle"], ["bench", "--nodes", "10"]])
+@pytest.mark.parametrize("argv", [["walk", "--graph", "bundle"], ["bench", "--nodes", "10"],
+                                  ["build"], ["embed", "--corpus", "c"],
+                                  ["eval", "--embeddings", "e"],
+                                  ["viz", "--embeddings", "e", "--out-prefix", "v"], ["run"]])
 def test_walk_and_bench_offer_no_workers_flag(argv, tmp_path, capsys):
-    """Walks run on one thread; only embed and run set the trainer's workers."""
+    """Walks and training run on one thread: no command takes --workers."""
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path / "x"), "--workers", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def test_eval_with_only_singleton_classes_exits_2(tmp_path, capsys):
+    """One member per class leaves no row to test at any ratio: exit 2
+    before any fit, naming the ratio and the cause."""
+    emb = tmp_path / "emb.txt"
+    emb.write_text("2 1\n0 0.5\n1 -0.5\n")
+    (tmp_path / "labels.txt").write_text("0 x\n1 y\n")
+    out = tmp_path / "report.csv"
+    assert main(["eval", "--embeddings", str(emb), "--labels", str(tmp_path / "labels.txt"),
+                 "--ratios", "0.3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "train ratio 0.3: every class has one member" in err
+    assert "no row is left to test" in err
+    assert not out.exists()
+
+
+def test_embed_accepts_window_beyond_255(dataset, tmp_path):
+    bundle, corpus, emb = tmp_path / "bundle", tmp_path / "c.txt", tmp_path / "e.txt"
+    main(["build", "--edges", str(dataset / "edges.txt"), "--out", str(bundle)])
+    main(["walk", "--graph", str(bundle), "--out", str(corpus), "--walk-length", "8",
+          "--walks-per-node", "1"])
+    assert main(["embed", "--corpus", str(corpus), "--out", str(emb), "--dim", "2",
+                 "--window", "300", "--epochs", "1"]) == 0
+    assert emb.exists()
 
 
 def test_unknown_flag_is_error(dataset, tmp_path):

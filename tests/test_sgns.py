@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fane import EmbeddingMatrix, TrainParams, build_vocabulary, train
-from fane.sgns import _apply_batch, _log_sigmoid, _pairs_for_chunk, sgns_gradients
+from fane import EmbeddingMatrix, TrainParams, build_vocabulary, sgns, train
+from fane.sgns import _apply_batch, _epoch_draws, _log_sigmoid, _pairs_for_chunk, sgns_gradients
 from oracles.sgns_reference import apply_batch, log_sigmoid, sigmoid, sgns_step
 
 
@@ -159,14 +161,6 @@ def test_determinism_and_seed_sensitivity():
     assert not np.array_equal(a.vectors, c.vectors)
 
 
-def test_hogwild_mode_runs_and_is_finite():
-    rng = np.random.default_rng(14)
-    walks = rng.integers(0, 30, size=(80, 12))
-    params = TrainParams(dimension=4, window=2, epochs=1, seed=3, workers=3)
-    emb = train(walks, params)
-    assert np.all(np.isfinite(emb.vectors))
-
-
 def test_subsampling_smoke():
     rng = np.random.default_rng(15)
     walks = rng.integers(0, 10, size=(60, 10))
@@ -181,6 +175,63 @@ def test_fixed_window_mode():
     emb = train(walks, TrainParams(dimension=4, window=2, epochs=1, seed=3,
                                    dynamic_window=False))
     assert np.all(np.isfinite(emb.vectors))
+
+
+def _record_batches(monkeypatch) -> list:
+    """(pairs, lr) of every _apply_batch call that train makes."""
+    calls = []
+
+    def spy(in_vecs, out_vecs, centers, contexts, negs, lr):
+        calls.append((len(centers), lr))
+        return _apply_batch(in_vecs, out_vecs, centers, contexts, negs, lr)
+    monkeypatch.setattr(sgns, "_apply_batch", spy)
+    return calls
+
+
+@pytest.mark.parametrize("dynamic", [True, False])
+def test_window_beyond_uint8(dynamic, monkeypatch):
+    # a window of 300 on walks of 280: every window size up to 279 occurs,
+    # and a fixed window pairs every two positions of a walk
+    walks = np.random.default_rng(17).integers(0, 20, size=(3, 280))
+    params = TrainParams(dimension=4, window=300, epochs=1, seed=3, dynamic_window=dynamic)
+    _, kp, _, _ = _epoch_draws(walks, None, params, 0)
+    assert kp.dtype == np.uint16 and kp.max() > 255
+    calls = _record_batches(monkeypatch)
+    emb = train(walks, params)
+    assert np.all(np.isfinite(emb.vectors))
+    if not dynamic:
+        assert sum(n for n, _ in calls) == 3 * 280 * 279
+    # windows that fit a byte keep their uint8 draws
+    assert _epoch_draws(walks, None, TrainParams(window=255), 0)[1].dtype == np.uint8
+
+
+def test_pairs_applied_add_up_to_pair_budget(monkeypatch):
+    # lr = lr0 (1 - done / budget) at every batch, so each batch after the
+    # first recovers the budget; the batches must use up exactly that many.
+    # Subsampling keeps each token with probability sqrt(0.005 / 0.02) = 0.5.
+    calls = _record_batches(monkeypatch)
+    walks = np.random.default_rng(31).integers(0, 50, size=(3000, 12))
+    train(walks, TrainParams(dimension=4, window=3, epochs=3, seed=2, subsample=0.005,
+                             learning_rate=0.5, min_learning_rate=0.0))
+    sizes = np.array([n for n, _ in calls])
+    lrs = np.array([lr for _, lr in calls])
+    done = np.cumsum(sizes) - sizes
+    assert len(calls) > 100
+    np.testing.assert_allclose(done[1:] / (1.0 - lrs[1:] / 0.5), sizes.sum(), rtol=1e-9)
+
+
+def test_train_peak_memory_does_not_grow_with_epochs():
+    # one epoch's windows, subsampled tokens and walk order at a time
+    walks = np.random.default_rng(41).integers(0, 100, size=(12000, 20))
+    peaks = []
+    for epochs in (1, 4):
+        tracemalloc.start()
+        try:
+            train(walks, TrainParams(dimension=4, window=1, epochs=epochs, seed=3, subsample=2e-4))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 def test_export_import_round_trip_text(tmp_path):
