@@ -1,4 +1,5 @@
-"""Alias method: O(k) table construction for O(1) categorical sampling."""
+"""Alias method: O(k) table construction for O(1) categorical sampling;
+many tables may lie side by side in flat arrays, each at its offset."""
 
 from __future__ import annotations
 
@@ -36,3 +37,46 @@ def build_alias(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         accept[i] = 1.0
     return accept, alias
 
+
+def build_alias_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``build_alias`` of every row of ``probs`` at once, bit for bit.
+
+    Each row's small and large stacks are filled in index order and popped
+    from the end, as in ``build_alias``. They share one array, small first:
+    neither outgrows its start, since a step pops s and l, then puts l where
+    s was or leaves it on top of the large stack.
+    """
+    n_rows, d = probs.shape
+    scaled = (probs * d).ravel()
+    accept = np.ones(n_rows * d)
+    alias = np.tile(np.arange(d, dtype=np.int32), n_rows)
+    large = (scaled >= 1.0).reshape(n_rows, d)
+    base = np.arange(0, n_rows * d, d)
+    stack = (np.argsort(large, axis=1, kind="stable") + base[:, None]).ravel()
+    floor = base + d - large.sum(axis=1)   # bottom of the large stack
+    sp = floor - 1                         # top of the small stack
+    lp = base + d - 1                      # top of the large stack
+    while True:
+        live = (sp >= base) & (lp >= floor)
+        if not live.all():
+            sp, lp, base, floor = sp[live], lp[live], base[live], floor[live]
+        if not len(sp):
+            return accept.reshape(n_rows, d), alias.reshape(n_rows, d)
+        s = stack[sp]
+        l = stack[lp]
+        accept[s] = scaled[s]
+        alias[s] = l - base
+        rest = (scaled[l] + scaled[s]) - 1.0
+        scaled[l] = rest
+        down = rest < 1.0
+        stack[sp[down]] = l[down]
+        lp = lp - down
+        sp = sp - ~down
+
+
+def alias_draw(accept: np.ndarray, alias: np.ndarray, off, d, u1, u2) -> np.ndarray:
+    """Outcomes drawn from the tables of d outcomes at ``off`` in the flat
+    arrays: column j by u1, kept if u2 < accept, else its alias."""
+    j = np.minimum((u1 * d).astype(np.int64), d - 1)
+    at = off + j
+    return np.where(u2 < accept[at], j, alias[at])

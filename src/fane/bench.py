@@ -191,7 +191,7 @@ def _time_pipeline(g: AttributedGraph, spec: BenchSpec, seed: int):
     times["construct"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    model = preprocess_transitions(ag, wp, tau=spec.tau, max_entries=2_000_000_000)
+    model = preprocess_transitions(ag, wp, tau=spec.tau)
     times["preprocess"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .graph import (AttributedGraph, GraphFormatError, build_augmented,
                     load_attributes, load_edge_list, load_labels, parse_labels,
-                    parse_sparse_attributes, read_records, stats)
+                    parse_sparse_attributes, read_attr_scales, read_records, stats)
 from .sgns import EmbeddingMatrix, TrainParams, train
 from .walks import (STRATEGIES, WalkParams, generate_corpus, load_corpus_tokens,
                     preprocess_transitions)
@@ -204,7 +204,7 @@ def _load_graph(cfg) -> AttributedGraph:
 def _build_augmented(g, cfg):
     scale = None
     if cfg["attr_weight"] == "scale":
-        scale = np.loadtxt(cfg["attr_scale_file"], dtype=np.float64, ndmin=1)
+        scale = read_attr_scales(_need(cfg, "attr_scale_file"))
     return build_augmented(g, attr_weight=cfg["attr_weight"],
                            uniform_weight=cfg["uniform_weight"], attr_scale=scale)
 

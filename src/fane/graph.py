@@ -68,15 +68,15 @@ def read_records(source, kind: str, layout: str | None = None, sep: str | None =
             yield lineno, fields
 
 
-def _attr_value(token: str, lineno: int) -> float:
+def _attr_value(token: str, lineno: int, kind: str = "attribute") -> float:
     try:
         x = float(token)
     except ValueError:
-        raise GraphFormatError(f"attribute line {lineno}: bad value {token!r}") from None
+        raise GraphFormatError(f"{kind} line {lineno}: bad value {token!r}") from None
     if not math.isfinite(x):
-        raise GraphFormatError(f"attribute line {lineno}: non-finite value {x}")
+        raise GraphFormatError(f"{kind} line {lineno}: non-finite value {x}")
     if x < 0:
-        raise GraphFormatError(f"attribute line {lineno}: negative value {x}")
+        raise GraphFormatError(f"{kind} line {lineno}: negative value {x}")
     return x
 
 
@@ -129,6 +129,12 @@ def parse_dense_attributes(source, width: int | None = None):
         if len(fields) != width:
             raise GraphFormatError(f"attribute line {lineno}: expected {width} columns, got {len(fields)}")
         yield lineno, [_attr_value(tok, lineno) for tok in fields]
+
+
+def read_attr_scales(source) -> np.ndarray:
+    """Scales for attr_weight="scale", attribute i's on the i-th data line."""
+    return np.array([_attr_value(tok, n, "attr scale") for n, (tok,) in
+                     read_records(source, "attr scale", "scale")], np.float64)
 
 
 def parse_labels(source):
@@ -455,9 +461,10 @@ def build_augmented(g: AttributedGraph, attr_weight: str = "value",
     Virtual edge weights follow ``attr_weight``:
       - "value": the attribute value itself (1.0 for binary attributes);
       - "uniform": ``uniform_weight`` for every virtual edge;
-      - "scale": value * attr_scale[attr_id].
+      - "scale": value * attr_scale[attr_id], positive and finite if used.
     Attributes with zero incidence get no node (walks cannot leave an
-    isolated node); the skipped count is reported in the result.
+    isolated node); the skipped count is reported in the result. A raw node
+    named like an attribute node's key, a<attrid>, raises GraphFormatError.
     """
     n = g.n_nodes
     # unified id of each entry's attribute node: n + its rank among the used
@@ -466,6 +473,11 @@ def build_augmented(g: AttributedGraph, attr_weight: str = "value",
     attr_unified += n
     m_used = len(used)
     skipped = g.n_attrs - m_used
+    # attribute nodes are keyed a<attrid>; no raw node may be named so
+    named = {s for s in g.node_names if s[:1] == "a"}
+    clash = [a for a in used.tolist() if f"a{a}" in named] if named else []
+    if clash:
+        raise GraphFormatError(f"node 'a{clash[0]}' would share its embedding key with attribute {clash[0]}")
 
     if attr_weight == "value":
         vw = g.attr_value
@@ -479,8 +491,10 @@ def build_augmented(g: AttributedGraph, attr_weight: str = "value",
         scale = np.asarray(attr_scale, np.float64)
         if len(scale) < g.n_attrs:
             raise ValueError("attr_scale shorter than attribute count")
-        if np.any(scale[used] <= 0):
-            raise ValueError("attr_scale entries must be positive")
+        bad = used[~(np.isfinite(scale[used]) & (scale[used] > 0))]
+        if len(bad):
+            raise ValueError(f"attr_scale of attribute {bad[0]} is {scale[bad[0]]}; "
+                             "it must be positive and finite")
         vw = g.attr_value * scale[g.attr_id]
     else:
         raise ValueError(f"unknown attr_weight rule {attr_weight!r}")

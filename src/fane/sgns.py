@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alias import build_alias
+from .alias import alias_draw, build_alias
 
 _INIT_STREAM = 0
 _EPOCH_STREAM = 10
@@ -54,15 +54,20 @@ class TrainParams:
 def build_vocabulary(walks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vocabulary in first-appearance order, counts, and noise distribution.
 
-    The noise distribution is count^0.75, normalized.
+    Tokens are non-negative integers, counted without a sorted copy of the
+    corpus. The noise distribution is count^0.75, normalized.
     """
     flat = np.asarray(walks).ravel()
     if flat.size == 0:
         raise ValueError("empty corpus")
-    uniq, first, counts = np.unique(flat, return_index=True, return_counts=True)
-    order = np.argsort(first, kind="stable")
-    tokens = uniq[order]
-    counts = counts[order]
+    counts = np.bincount(flat)
+    pos_type = np.min_scalar_type(flat.size)
+    first = np.full(len(counts), flat.size, pos_type)
+    np.minimum.at(first, flat, np.arange(flat.size, dtype=pos_type))
+    tokens = np.flatnonzero(counts)
+    tokens = tokens[np.argsort(first[tokens], kind="stable")]
+    counts = counts[tokens]
+    tokens = tokens.astype(flat.dtype)
     noise = counts.astype(np.float64) ** 0.75
     noise /= noise.sum()
     return tokens, counts, noise
@@ -134,14 +139,14 @@ class EmbeddingMatrix:
         """Errors name the file line: the header is line 1, row i line i + 2."""
         with open(path, "r", encoding="utf-8") as f:
             n, d = _header(f.readline())
-            keys = []
+            keys = {}   # key -> file line
             vecs = np.empty((n, d), np.float32)
             for line in range(2, n + 2):
                 parts = f.readline().split()
                 if len(parts) != d + 1:
                     raise ValueError(f"embedding file line {line}: expected a key and {d} values, "
                                      f"got {len(parts)} fields")
-                keys.append(parts[0])
+                _add_key(keys, parts[0], line)
                 try:
                     vecs[line - 2] = [float(t) for t in parts[1:]]
                 except ValueError as e:
@@ -149,7 +154,7 @@ class EmbeddingMatrix:
             for line, rest in enumerate(f, n + 2):
                 if rest.strip():
                     raise ValueError(f"embedding file line {line}: row beyond the header's count of {n}")
-        return cls(keys=keys, vectors=vecs)
+        return cls(keys=list(keys), vectors=vecs)
 
     def save_binary(self, path) -> None:
         with open(path, "wb") as f:
@@ -166,7 +171,7 @@ class EmbeddingMatrix:
         with open(path, "rb") as f:
             n, d = _header(f.readline())
             data = f.read()
-        keys = []
+        keys = {}   # key -> file line
         vecs = np.empty((n, d), np.float32)
         pos = 0
         for line in range(2, n + 2):
@@ -175,12 +180,18 @@ class EmbeddingMatrix:
             if sp < 0 or data[end:end + 1] != b"\n":
                 raise ValueError(f"embedding file line {line}: expected a key, a space, "
                                  f"{d} float32 values and a newline")
-            keys.append(data[pos:sp].decode())
+            _add_key(keys, data[pos:sp].decode(), line)
             vecs[line - 2] = np.frombuffer(data, "<f4", d, sp + 1)
             pos = end + 1
         if pos < len(data):
             raise ValueError(f"embedding file line {n + 2}: row beyond the header's count of {n}")
-        return cls(keys=keys, vectors=vecs)
+        return cls(keys=list(keys), vectors=vecs)
+
+
+def _add_key(keys: dict, key: str, line: int) -> None:
+    """keys[key] = line, unless an earlier line has the key."""
+    if keys.setdefault(key, line) != line:
+        raise ValueError(f"embedding file line {line}: key {key!r} repeats line {keys[key]}")
 
 
 def _header(line) -> tuple[int, int]:
@@ -280,6 +291,8 @@ def train(walks: np.ndarray, params: TrainParams, key_fn=None) -> EmbeddingMatri
 
     losses, done = [], 0
     for e in range(params.epochs):
+        # the last epoch's draws and last chunk go before this epoch's are drawn
+        idx_e = kp = perm = rows = centers = contexts = shuffle = negs = None
         idx_e, kp, perm, rng_e = _epoch_draws(idx, keep_prob, params, e)
         epoch_loss, epoch_pairs = 0.0, 0
         for c0 in range(0, len(perm), _CHUNK_WALKS):
@@ -289,9 +302,8 @@ def train(walks: np.ndarray, params: TrainParams, key_fn=None) -> EmbeddingMatri
                 continue
             shuffle = rng_e.permutation(len(centers))
             centers, contexts = centers[shuffle], contexts[shuffle]
-            nu = rng_e.random((2, len(centers), params.negatives))
-            j = np.minimum((nu[0] * V).astype(np.int32), V - 1)
-            negs = np.where(nu[1] < noise_accept[j], j, noise_alias[j]).astype(np.int32)
+            negs = alias_draw(noise_accept, noise_alias, 0, V,
+                              *rng_e.random((2, len(centers), params.negatives))).astype(np.int32)
             for b0 in range(0, len(centers), batch_pairs):
                 lr = max(params.min_learning_rate, params.learning_rate * (1.0 - (done + b0) / total_pairs))
                 b1 = b0 + batch_pairs
@@ -300,7 +312,6 @@ def train(walks: np.ndarray, params: TrainParams, key_fn=None) -> EmbeddingMatri
             done += len(centers)
             epoch_pairs += len(centers)
         losses.append(epoch_loss / max(epoch_pairs, 1))
-        del idx_e, kp, perm    # before the next epoch draws its own
 
     order = np.argsort(tokens, kind="stable")
     keys = [(key_fn or str)(int(t)) for t in tokens[order]]

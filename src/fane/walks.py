@@ -6,16 +6,17 @@ according to the strategy (sf: source is an attribute node, tf: target is,
 stf: either is) and otherwise falls back to the return/in-out kernel
 beta: 1/p if x == u, 1 if x is adjacent to u, else 1/q.
 
-States (u -> v) with deg(v) <= tau sample from alias tables built in one
-batched pass: states grouped by deg(v) run through Vose's construction in
-lockstep, in chunks of a fixed number of entries. tau=0 builds no table.
-Every other state takes one batched rejection step (KnightKing, Yang et
-al., SOSP 2019): x is proposed from w(v,x) * c(v,x), c being 1/r on the
-moves the strategy damps and max(1, 1/q) elsewhere, by inverse CDF over
-row-local prefix sums, and accepted with alpha / c; the return edge's mass
-above c is an outlier drawn past the end of the proposal. After
-_MAX_TRIALS rejections a walker makes one exact draw from pi, so every
-step follows pi exactly.
+_scores states this rule once, first steps included, and _envelope the
+proposal's bound c(v,x); tables, rejection and exact draws all read them.
+preprocess_transitions builds the whole sampler. States (u -> v) with
+deg(v) <= tau sample from alias tables, built grouped by deg(v) in lockstep
+through Vose's construction; tau=0 builds none, and so does a tau whose
+tables would exceed _MAX_TABLE_ENTRIES entries. Every other state takes one
+batched rejection step (KnightKing, Yang et al., SOSP 2019): x is proposed
+from w(v,x) * c(v,x) by inverse CDF over row-local prefix sums built with
+the tables, and accepted with alpha / c; the return edge's mass above c is
+an outlier drawn past the end of the proposal. After _MAX_TRIALS
+rejections a walker makes one exact draw, so every step follows pi exactly.
 
 The first trial of every step reads the walk's own counter window of a
 Philox stream keyed by (seed, iteration); later trials read a counter-based
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .alias import alias_draw, build_alias_rows
 from .graph import AugmentedGraph
 
 SF = "sf"
@@ -50,6 +52,9 @@ _RETRY_STREAM = 2
 # bounds their temporaries
 _CHUNK_ENTRIES = 1 << 16
 
+# alias table entries a model may hold; a tau that needs more builds none
+_MAX_TABLE_ENTRIES = 10**8
+
 # rejection trials per table-less step before its one exact draw from pi
 _MAX_TRIALS = 16
 
@@ -61,10 +66,6 @@ _CHUNK_UNIFORMS = 1 << 20
 _PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
 _PHILOX_W = (0x9E3779B9, 0xBB67AE85)
 _M32 = 0xFFFFFFFF
-
-
-class TransitionMemoryError(RuntimeError):
-    """Precomputed tables would exceed the entry budget."""
 
 
 @dataclass(frozen=True)
@@ -97,40 +98,42 @@ class WalkParams:
 def _damped(params: WalkParams, x_attr, v_attr):
     """Moves the strategy damps by 1/r: into an attribute node (tf, stf) or
     out of one (sf, stf)."""
-    strat = params.strategy
-    return (x_attr & (strat in (TF, STF))) | (v_attr & (strat in (SF, STF)))
+    if params.strategy == STF:
+        return x_attr | v_attr
+    return x_attr if params.strategy == TF else v_attr
 
 
-def _scores(params: WalkParams, n_raw: int, x: np.ndarray, w: np.ndarray, v_attr,
-            u=None, adj=None) -> np.ndarray:
-    """Unnormalized scores w(v,x) * alpha over neighbors x of v, for one state
-    (scalar u, v_attr) or rows of states (u, v_attr of shape (rows, 1)).
+def _scores(params: WalkParams, n_raw: int, x, w, u, v, adj) -> np.ndarray:
+    """Unnormalized scores w(v,x) * alpha(v,x) of the moves v -> x after
+    u -> v, elementwise over arrays that broadcast together.
 
-    ``adj`` marks x adjacent to u. u=None scores a first step, w * gamma:
-    gamma is 1/r where the strategy would damp the move mid-walk, else 1, so
-    at r = 1 the first step is the weighted-uniform start of node2vec.
+    ``adj`` marks x adjacent to u and is not read where u < 0
+    (SENTINEL_START): that scores a first step, w * gamma, gamma being 1/r
+    where the strategy would damp the move mid-walk, else 1, so at r = 1 the
+    first step is the weighted-uniform start of node2vec.
     """
-    x_attr = x >= n_raw
-    strat = params.strategy
-    if u is None:
-        return w * np.where(_damped(params, x_attr, v_attr), 1.0 / params.r, 1.0)
+    x_attr, v_attr = x >= n_raw, v >= n_raw
     if params.beta_graph == "raw":
         adj = adj & ~x_attr & (u < n_raw)
-    a = np.where(adj, 1.0, 1.0 / params.q)
-    a[x == u] = 1.0 / params.p
-    if strat in (TF, STF):
-        a[x_attr] = 1.0 / params.r
-    if strat in (SF, STF):
-        return np.where(v_attr, w / params.r, w * a)
-    return w * a
+    beta = np.where(x == u, 1.0 / params.p, np.where(adj, 1.0, 1.0 / params.q))
+    pi = w * np.where(_damped(params, x_attr, v_attr), 1.0 / params.r, np.where(u < 0, 1.0, beta))
+    if params.strategy in (SF, STF):
+        # mid-walk, a move out of an attribute node divides w by r
+        pi = np.where(v_attr & (u >= 0), w / params.r, pi)
+    return pi
+
+
+def _envelope(params: WalkParams, n_raw: int, x, v) -> np.ndarray:
+    """c(v,x), the proposal's factor over w(v,x): 1/r on the moves the
+    strategy damps, max(1, 1/q) elsewhere. alpha <= c on every move but the
+    return edge."""
+    return np.where(_damped(params, x >= n_raw, v >= n_raw), 1.0 / params.r, max(1.0, 1.0 / params.q))
 
 
 def _pi(g: AugmentedGraph, params: WalkParams, u: int, v: int) -> np.ndarray:
     """Scores of the state (u, v); u = SENTINEL_START for a first step."""
     x, w = g.neighbor_slice(v)
-    if u == SENTINEL_START:
-        return _scores(params, g.n_raw, x, w, v >= g.n_raw)
-    return _scores(params, g.n_raw, x, w, v >= g.n_raw, u, g.has_edge(u, x))
+    return _scores(params, g.n_raw, x, w, u, v, g.has_edge(u, x))
 
 
 def first_step_distribution(g: AugmentedGraph, params: WalkParams, v: int) -> np.ndarray:
@@ -152,13 +155,14 @@ def transition_distribution(g: AugmentedGraph, params: WalkParams, u: int, v: in
 
 @dataclass
 class TransitionModel:
-    """Alias tables for the states (u -> v) with deg(v) <= tau.
+    """The whole sampler of one graph and WalkParams, immutable once built.
 
-    Immutable after preprocessing. ``edge_off[e]`` indexes the flat alias
-    arrays for the directed edge with CSR position e, or -1 when deg(v) >
-    tau (same for ``node_off`` and first steps). Those states are sampled by
-    batched rejection, from prefix sums that each corpus builds for their
-    rows; tau=0 builds no table at all.
+    ``edge_off[e]`` indexes the flat alias arrays for the directed edge with
+    CSR position e, or is -1 when deg(v) > tau (same for ``node_off`` and
+    first steps). Those states are sampled by rejection from the proposal
+    prefix sums of row v, ``sum_cum[sum_off[v]:sum_off[v] + deg(v)]``;
+    ``sum_off`` is -1 on rows with tables. ``tau`` is the threshold the
+    tables were built at, 0 when none were.
     """
 
     params: WalkParams
@@ -169,25 +173,25 @@ class TransitionModel:
     edge_off: np.ndarray
     edge_accept: np.ndarray
     edge_alias: np.ndarray
+    sum_off: np.ndarray
+    sum_cum: np.ndarray
 
     @property
     def n_precomputed_entries(self) -> int:
         return len(self.node_accept) + len(self.edge_accept)
 
 
-def preprocess_transitions(g: AugmentedGraph, params: WalkParams, tau: int = 1024,
-                           max_entries: int = 100_000_000) -> TransitionModel:
-    """Build alias tables for all states sampling over nodes of degree <= tau.
+def preprocess_transitions(g: AugmentedGraph, params: WalkParams, tau: int = 1024) -> TransitionModel:
+    """Build the sampler: alias tables for all states sampling over nodes of
+    degree <= tau, and proposal prefix sums over every other node's row.
 
     Each node v with deg(v) <= tau gets a first-step table and each edge
     (u -> v) one over N(v), equal bit for bit to ``build_alias`` of the
     state's distribution. States of one deg(v) are built in lockstep,
-    ``_CHUNK_ENTRIES // deg(v)`` at a time, so besides the tables memory holds
-    a few ``_CHUNK_ENTRIES``-sized arrays and a few int64 per directed edge;
-    with no such node (as at tau=0) no edge is visited.
-
-    Raises TransitionMemoryError, naming the largest tau that fits, when the
-    tables would exceed ``max_entries`` entries (tau=0 builds no table).
+    ``_CHUNK_ENTRIES // deg(v)`` at a time, so besides the tables and sums
+    memory holds a few ``_CHUNK_ENTRIES``-sized arrays and a few int64 per
+    directed edge. Tables that would exceed ``_MAX_TABLE_ENTRIES`` entries
+    are not built: a WARNING is logged and the model is that of tau=0.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
@@ -197,12 +201,10 @@ def preprocess_transitions(g: AugmentedGraph, params: WalkParams, tau: int = 102
     small = deg <= tau
     node_entries = int(deg[small].sum())
     edge_entries = int((deg[small] * deg[small]).sum())
-    if node_entries + edge_entries > max_entries:
-        d = np.sort(deg[small])
-        fit = int(d[np.searchsorted(np.cumsum(d + d * d), max_entries, side="right")]) - 1
-        raise TransitionMemoryError(
-            f"precomputing needs {node_entries + edge_entries} table entries (> budget {max_entries}); "
-            f"lower tau (currently {tau}) to {fit} or less, or use tau=0 for sampling by rejection only")
+    if node_entries + edge_entries > _MAX_TABLE_ENTRIES:
+        logger.warning("alias tables at tau=%d would need %d entries (budget %d); building none, "
+                       "as at tau=0", tau, node_entries + edge_entries, _MAX_TABLE_ENTRIES)
+        return preprocess_transitions(g, params, tau=0)
 
     node_off = np.full(g.n_total, -1, np.int64)
     node_accept = np.empty(node_entries, np.float64)
@@ -211,45 +213,44 @@ def preprocess_transitions(g: AugmentedGraph, params: WalkParams, tau: int = 102
     edge_accept = np.empty(edge_entries, np.float64)
     edge_alias = np.empty(edge_entries, np.int32)
     if node_entries:
+        # CSR order is (source, target) order, so these keys come sorted
+        keys = np.repeat(np.arange(g.n_total, dtype=np.int64) * g.n_total, deg)
+        keys += g.neighbors
         nodes = np.flatnonzero(small)
         node_off[nodes] = np.cumsum(deg[nodes]) - deg[nodes]
-        _fill_tables(g, params, None, nodes, node_off[nodes], node_accept, node_alias)
+        _fill_tables(g, params, keys, np.full(len(nodes), SENTINEL_START), nodes, node_off[nodes],
+                     node_accept, node_alias)
         edges = np.flatnonzero(small[g.neighbors])
         cur = g.neighbors[edges].astype(np.int64)
         edge_off[edges] = np.cumsum(deg[cur]) - deg[cur]
         prev = np.searchsorted(g.indptr, edges, side="right") - 1
-        _fill_tables(g, params, prev, cur, edge_off[edges], edge_accept, edge_alias)
-
-    return TransitionModel(
-        params=params, tau=tau,
-        node_off=node_off, node_accept=node_accept, node_alias=node_alias,
-        edge_off=edge_off, edge_accept=edge_accept, edge_alias=edge_alias,
-    )
+        _fill_tables(g, params, keys, prev, cur, edge_off[edges], edge_accept, edge_alias)
+    sum_off, sum_cum = _proposal_sums(g, params, np.flatnonzero(~small))
+    return TransitionModel(params=params, tau=tau, node_off=node_off, node_accept=node_accept,
+                           node_alias=node_alias, edge_off=edge_off, edge_accept=edge_accept,
+                           edge_alias=edge_alias, sum_off=sum_off, sum_cum=sum_cum)
 
 
-def _fill_tables(g: AugmentedGraph, params: WalkParams, prev: np.ndarray | None, cur: np.ndarray,
-                 off: np.ndarray, accept: np.ndarray, alias: np.ndarray) -> None:
-    """Write the alias table of state (prev[i] -> cur[i]) at off[i]; prev=None for first steps."""
-    if prev is not None:
-        # CSR order is (source, target) order, so these keys come sorted
-        keys = np.repeat(np.arange(g.n_total, dtype=np.int64) * g.n_total, np.diff(g.indptr))
-        keys += g.neighbors
+def _fill_tables(g: AugmentedGraph, params: WalkParams, keys: np.ndarray, prev: np.ndarray,
+                 cur: np.ndarray, off: np.ndarray, accept: np.ndarray, alias: np.ndarray) -> None:
+    """Write the alias table of state (prev[i] -> cur[i]) at off[i]. ``keys``
+    holds u * n_total + x for every directed edge u -> x, in CSR order."""
     for rows, cols in _degree_chunks(np.diff(g.indptr)[cur]):
         at = g.indptr[cur[rows]][:, None] + cols
         x = g.neighbors[at]
-        u = adj = None
-        if prev is not None:
-            u = prev[rows][:, None]
-            ux = u * g.n_total + x
-            adj = keys[np.minimum(np.searchsorted(keys, ux), len(keys) - 1)] == ux
-        pi = _scores(params, g.n_raw, x, g.weights[at], (cur[rows] >= g.n_raw)[:, None], u, adj)
+        u = prev[rows][:, None]
+        ux = u * g.n_total + x
+        adj = keys[np.minimum(np.searchsorted(keys, ux), len(keys) - 1)] == ux
+        pi = _scores(params, g.n_raw, x, g.weights[at], u, cur[rows][:, None], adj)
         dst = off[rows][:, None] + cols
-        accept[dst], alias[dst] = _alias_rows(pi / pi.sum(axis=1, keepdims=True))
+        accept[dst], alias[dst] = build_alias_rows(pi / pi.sum(axis=1, keepdims=True))
 
 
 def _degree_chunks(d: np.ndarray):
     """Yield (rows, arange(k)) over the indices of ``d`` grouped by equal
     value k, at most ``_CHUNK_ENTRIES // k`` rows at a time."""
+    if not len(d):
+        return
     order = np.argsort(d, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(d[order])) + 1):
         k = int(d[group[0]])
@@ -257,42 +258,6 @@ def _degree_chunks(d: np.ndarray):
         step = max(1, _CHUNK_ENTRIES // k)
         for i in range(0, len(group), step):
             yield group[i:i + step], cols
-
-
-def _alias_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``build_alias`` of every row of ``probs`` at once, bit for bit.
-
-    Each row's small and large stacks are filled in index order and popped
-    from the end, as in ``build_alias``. They share one array, small first:
-    neither outgrows its start, since a step pops s and l, then puts l where
-    s was or leaves it on top of the large stack.
-    """
-    n_rows, d = probs.shape
-    scaled = (probs * d).ravel()
-    accept = np.ones(n_rows * d)
-    alias = np.tile(np.arange(d, dtype=np.int32), n_rows)
-    large = (scaled >= 1.0).reshape(n_rows, d)
-    base = np.arange(0, n_rows * d, d)
-    stack = (np.argsort(large, axis=1, kind="stable") + base[:, None]).ravel()
-    floor = base + d - large.sum(axis=1)   # bottom of the large stack
-    sp = floor - 1                         # top of the small stack
-    lp = base + d - 1                      # top of the large stack
-    while True:
-        live = (sp >= base) & (lp >= floor)
-        if not live.all():
-            sp, lp, base, floor = sp[live], lp[live], base[live], floor[live]
-        if not len(sp):
-            return accept.reshape(n_rows, d), alias.reshape(n_rows, d)
-        s = stack[sp]
-        l = stack[lp]
-        accept[s] = scaled[s]
-        alias[s] = l - base
-        rest = (scaled[l] + scaled[s]) - 1.0
-        scaled[l] = rest
-        down = rest < 1.0
-        stack[sp[down]] = l[down]
-        lp = lp - down
-        sp = sp - ~down
 
 
 def _uniform_rows(seed: int, iteration: int, lo: int, out: np.ndarray) -> None:
@@ -336,13 +301,6 @@ def _retry_uniforms(seed: int, iteration: np.ndarray, start: np.ndarray, step: i
     return (((o0 >> 5) << 26) + (o1 >> 6)) * unit, (((o2 >> 5) << 26) + (o3 >> 6)) * unit
 
 
-def _alias_draw(accept: np.ndarray, alias: np.ndarray, off, d, u1, u2) -> np.ndarray:
-    """Positions drawn from the tables at ``off``: column j by u1, kept if u2 < accept."""
-    j = np.minimum((u1 * d).astype(np.int64), d - 1)
-    at = off + j
-    return np.where(u2 < accept[at], j, alias[at])
-
-
 def _row_search(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, key, side: str = "left") -> np.ndarray:
     """``lo[i] + np.searchsorted(a[lo[i]:hi[i]], key[i], side)`` for every i,
     by one bisection over all the sorted rows in lockstep."""
@@ -357,31 +315,19 @@ def _row_search(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, key, side: str = 
     return lo
 
 
-def _proposal_sums(g: AugmentedGraph, model: TransitionModel, nodes: np.ndarray | None = None):
+def _proposal_sums(g: AugmentedGraph, params: WalkParams, nodes: np.ndarray):
     """Row-local prefix sums of the proposal w(v,x) * c(v,x) over N(v) for v
-    in ``nodes``, by default every node without tables (degree > tau), as
-    (off, cum): row v spans cum[off[v]:off[v] + deg(v)], off is -1
-    elsewhere. None when there is no such node.
-
-    c is 1/r on the moves the strategy damps and max(1, 1/q) elsewhere, so
-    it bounds alpha on every target but the return edge. Each row is summed
-    on its own and carries no rounding from another.
-    """
-    params = model.params
-    if nodes is None:
-        nodes = np.flatnonzero(model.node_off < 0)
-    if not len(nodes):
-        return None
+    in ``nodes``, as (off, cum): row v spans cum[off[v]:off[v] + deg(v)], off
+    is -1 elsewhere. Each row is summed on its own and carries no rounding
+    from another."""
     d = np.diff(g.indptr)[nodes]
     off = np.full(g.n_total, -1, np.int64)
     off[nodes] = np.cumsum(d) - d
     cum = np.empty(int(d.sum()))
-    raw_c = max(1.0, 1.0 / params.q)
     for rows, cols in _degree_chunks(d):
-        v = nodes[rows]
-        at = g.indptr[v][:, None] + cols
-        damp = _damped(params, g.neighbors[at] >= g.n_raw, (v >= g.n_raw)[:, None])
-        cum[off[v][:, None] + cols] = np.cumsum(g.weights[at] * np.where(damp, 1.0 / params.r, raw_c), axis=1)
+        v = nodes[rows][:, None]
+        at = g.indptr[v] + cols
+        cum[off[v] + cols] = np.cumsum(g.weights[at] * _envelope(params, g.n_raw, g.neighbors[at], v), axis=1)
     return off, cum
 
 
@@ -391,64 +337,58 @@ def _exact_draw(g: AugmentedGraph, params: WalkParams, u: int, v: int, u1: float
     return min(int(np.searchsorted(cdf, u1 * cdf[-1], side="right")), len(cdf) - 1)
 
 
-def _reject(g: AugmentedGraph, params: WalkParams, sums, prev: np.ndarray, cur: np.ndarray,
+def _reject(g: AugmentedGraph, model: TransitionModel, prev: np.ndarray, cur: np.ndarray,
             u1: np.ndarray, u2: np.ndarray, retry: tuple, counts: np.ndarray) -> np.ndarray:
     """Positions drawn from pi of the states (prev[i] -> cur[i]) by rejection;
     prev[i] = SENTINEL_START for a first step.
 
     A trial draws y = u1 * (Z + E), Z the row's proposal sum and E the
-    return edge's mass above the envelope, w(v,u) * (1/p - c)+. y < Z
-    proposes x by inverse CDF and keeps it if u2 < alpha / c; y >= Z takes
-    x = u outright. Trial 0 uses (u1, u2), trial t > 0 ``_retry_uniforms``
-    at (seed, iteration, start, step) = ``retry``. Trials run in rounds of
-    1, 3 and 12, each round for all walkers still rejected at once; a
-    walker keeps its first accepted trial, so rounds change no draw. Walkers
-    rejected ``_MAX_TRIALS`` times make one exact draw.
+    return edge's mass above the envelope, w(v,u) * (alpha(v,u) - c(v,u))+.
+    y < Z proposes x by inverse CDF and keeps it if u2 < alpha / c; y >= Z
+    takes x = u outright. Trial 0 uses (u1, u2), trial t > 0
+    ``_retry_uniforms`` at (seed, iteration, start, step) = ``retry``.
+    Trials run in rounds of 1, 3 and 12, each round for all walkers still
+    rejected at once; a walker keeps its first accepted trial, so rounds
+    change no draw. Walkers rejected ``_MAX_TRIALS`` times make one exact
+    draw.
     """
-    off, cum = sums
+    params, cum = model.params, model.sum_cum
     seed, iteration, start, step = retry
-    raw_c = max(1.0, 1.0 / params.q)
     lo = g.indptr[cur]
     deg = g.indptr[cur + 1] - lo
-    base = off[cur]
+    base = model.sum_off[cur]
     total = cum[base + deg - 1]
-    extra = np.zeros(len(cur))
+    # alpha(v,u) - c(v,u): how far the return move's alpha is above the envelope
+    above = _scores(params, g.n_raw, prev, 1.0, prev, cur, True) - _envelope(params, g.n_raw, prev, cur)
+    m = np.flatnonzero((prev >= 0) & (above > 0))
     home = np.zeros(len(cur), np.int64)
-    if 1.0 / params.p > raw_c:
-        m = np.flatnonzero((prev >= 0) & ~_damped(params, prev >= g.n_raw, cur >= g.n_raw))
-        home[m] = _row_search(g.neighbors, lo[m], lo[m] + deg[m], prev[m]) - lo[m]
-        extra[m] = g.weights[lo[m] + home[m]] * (1.0 / params.p - raw_c)
+    home[m] = _row_search(g.neighbors, lo[m], lo[m] + deg[m], prev[m]) - lo[m]
+    extra = np.zeros(len(cur))
+    extra[m] = g.weights[lo[m] + home[m]] * above[m]
     out = np.empty(len(cur), np.int64)
     live = np.arange(len(cur))
     first, n = 0, 1
     while len(live) and first < _MAX_TRIALS:
-        w = np.repeat(live, n)          # trials first .. first+n-1 of each live walker
-        if first == 0:
-            a, b = u1, u2
-        else:
+        if first == 0:                  # every walker's trial 0
+            w, a, b = slice(None), u1, u2
+        else:                           # trials first .. first+n-1 of each live walker
+            w = np.repeat(live, n)
             a, b = _retry_uniforms(seed, iteration[w], start[w], step,
                                    np.tile(np.arange(first, first + n), len(live)))
-        u, v, z = prev[w], cur[w], total[w]
-        y = a * (z + extra[w])
-        outlier = (y >= z) & (extra[w] > 0)
-        j = np.where(outlier, home[w],
-                     np.minimum(_row_search(cum, base[w], base[w] + deg[w], y, "right") - base[w],
-                                deg[w] - 1))
+        u, v, z, e, bw, dw = prev[w], cur[w], total[w], extra[w], base[w], deg[w]
+        y = a * (z + e)
+        j = np.where((y >= z) & (e > 0), home[w],
+                     np.minimum(_row_search(cum, bw, bw + dw, y, "right") - bw, dw - 1))
         x = g.neighbors[lo[w] + j]
-        ratio = np.ones(len(w))
-        raw = ~outlier & ~_damped(params, x >= g.n_raw, v >= g.n_raw)
-        ratio[raw & (u < 0)] = 1.0 / raw_c
-        ratio[raw & (x == u)] = min(1.0, 1.0 / params.p / raw_c)
-        far = np.flatnonzero(raw & (u >= 0) & (x != u))
-        if params.q != 1.0 and len(far):
-            uf, xf = u[far], x[far]
-            end = g.indptr[uf + 1]
-            at = _row_search(g.neighbors, g.indptr[uf], end, xf)
-            adj = (at < end) & (g.neighbors[np.minimum(at, len(g.neighbors) - 1)] == xf)
-            if params.beta_graph == "raw":
-                adj &= (xf < g.n_raw) & (uf < g.n_raw)
-            ratio[far] = np.where(adj, 1.0, 1.0 / params.q) / raw_c
-        ok = (b < ratio).reshape(len(live), n)
+        # alpha as if x were not adjacent to u, and as if it were; u's row
+        # is searched only where the two differ
+        alpha, near = _scores(params, g.n_raw, x, 1.0, u, v, np.array([[False], [True]]))
+        i = np.flatnonzero(near != alpha)
+        end = g.indptr[u[i] + 1]
+        at = _row_search(g.neighbors, g.indptr[u[i]], end, x[i])
+        i = i[(at < end) & (g.neighbors[np.minimum(at, len(g.neighbors) - 1)] == x[i])]
+        alpha[i] = near[i]
+        ok = (b < alpha / _envelope(params, g.n_raw, x, v)).reshape(len(live), n)
         took = ok.argmax(axis=1)
         done = ok[np.arange(len(live)), took]
         counts[2] += int(np.where(done, took + 1, n).sum())
@@ -463,17 +403,16 @@ def _reject(g: AugmentedGraph, params: WalkParams, sums, prev: np.ndarray, cur: 
     return out
 
 
-def _next_positions(g: AugmentedGraph, model: TransitionModel, sums, prev: np.ndarray,
-                    cur: np.ndarray, edge: np.ndarray, u1: np.ndarray, u2: np.ndarray,
-                    retry: tuple, counts: np.ndarray) -> np.ndarray:
+def _next_positions(g: AugmentedGraph, model: TransitionModel, prev: np.ndarray, cur: np.ndarray,
+                    edge: np.ndarray, u1: np.ndarray, u2: np.ndarray, retry: tuple,
+                    counts: np.ndarray) -> np.ndarray:
     """Position in cur's neighbor row of each walker's next node.
 
     ``edge`` is the CSR index of (prev -> cur), -1 for a first step. States
     with a table draw from it with (u1, u2); the rest go through ``_reject``
     together, with ``retry`` = (seed, iteration, start, step), iteration and
-    start per walker, and ``sums`` from ``_proposal_sums``. ``counts``
-    accumulates [table steps, rejection steps, rejection trials, exact
-    fallbacks].
+    start per walker. ``counts`` accumulates [table steps, rejection steps,
+    rejection trials, exact fallbacks].
     """
     idx = np.empty(len(cur), np.int64)
     first = edge < 0
@@ -483,20 +422,20 @@ def _next_positions(g: AugmentedGraph, model: TransitionModel, sums, prev: np.nd
             (np.flatnonzero(~first), model.edge_off[edge[~first]], model.edge_accept, model.edge_alias)):
         pre = offs >= 0
         sel = rows[pre]
-        idx[sel] = _alias_draw(accept, alias, offs[pre], g.indptr[cur[sel] + 1] - g.indptr[cur[sel]],
-                               u1[sel], u2[sel])
+        idx[sel] = alias_draw(accept, alias, offs[pre], g.indptr[cur[sel] + 1] - g.indptr[cur[sel]],
+                              u1[sel], u2[sel])
         rest.append(rows[~pre])
     rows = np.concatenate(rest)
     counts[0] += len(cur) - len(rows)
     if len(rows):
         counts[1] += len(rows)
         seed, iteration, start, step = retry
-        idx[rows] = _reject(g, model.params, sums, prev[rows], cur[rows], u1[rows], u2[rows],
+        idx[rows] = _reject(g, model, prev[rows], cur[rows], u1[rows], u2[rows],
                             (seed, iteration[rows], start[rows], step), counts)
     return idx
 
 
-def _walk_chunk(g: AugmentedGraph, model: TransitionModel, sums, iteration: np.ndarray,
+def _walk_chunk(g: AugmentedGraph, model: TransitionModel, iteration: np.ndarray,
                 start: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The walks of the (iteration[i], start[i]) pairs, advanced in
     lockstep, as a (len(start), l) id array; adds the step counts of
@@ -514,7 +453,7 @@ def _walk_chunk(g: AugmentedGraph, model: TransitionModel, sums, iteration: np.n
     prev = np.full(B, SENTINEL_START, np.int64)
     edge = np.full(B, -1, np.int64)   # CSR index of (prev -> cur)
     for s in range(l - 1):
-        idx = _next_positions(g, model, sums, prev, cur, edge, ublock[:, 2 * s], ublock[:, 2 * s + 1],
+        idx = _next_positions(g, model, prev, cur, edge, ublock[:, 2 * s], ublock[:, 2 * s + 1],
                               (seed, iteration, start, s), counts)
         edge = g.indptr[cur] + idx
         prev = cur
@@ -539,11 +478,9 @@ def sample_next(g: AugmentedGraph, model: TransitionModel, u: int, v: int,
     samples the first step. Draw i is a walker from start i whose trials
     are keyed by (seed, iteration 0, step 0)."""
     rng = np.random.default_rng(seed)
-    u1 = rng.random(n_samples)
-    u2 = rng.random(n_samples)
+    u1, u2 = rng.random(n_samples), rng.random(n_samples)
     e = -1 if u == SENTINEL_START else edge_csr_index(g, u, v)
-    sums = _proposal_sums(g, model, np.array([v]))
-    return _next_positions(g, model, sums, np.full(n_samples, u, np.int64), np.full(n_samples, v, np.int64),
+    return _next_positions(g, model, np.full(n_samples, u, np.int64), np.full(n_samples, v, np.int64),
                            np.full(n_samples, e, np.int64), u1, u2,
                            (seed, np.zeros(n_samples, np.int64), np.arange(n_samples), 0),
                            np.zeros(4, np.int64))
@@ -551,11 +488,10 @@ def sample_next(g: AugmentedGraph, model: TransitionModel, u: int, v: int,
 
 def generate_walk(g: AugmentedGraph, model: TransitionModel, start: int,
                   iteration: int = 0) -> np.ndarray:
-    """One walk from ``start``; identical to the corresponding corpus row.
-    Like a corpus, it first builds the proposal sums of every table-less row."""
+    """One walk from ``start``; identical to the corresponding corpus row."""
     if g.degree(start) == 0:
         raise ValueError(f"start node {start} has no neighbors")
-    return _walk_chunk(g, model, _proposal_sums(g, model), np.array([iteration], np.int64),
+    return _walk_chunk(g, model, np.array([iteration], np.int64),
                        np.array([start], np.int64), np.zeros(4, np.int64))[0]
 
 
@@ -581,11 +517,9 @@ class Corpus:
 
     def save(self, path) -> None:
         """One walk per line, space-separated tokens, attribute nodes a<attrid>."""
-        raw = self.walks
         with open(path, "w", encoding="utf-8") as f:
-            for row in raw:
-                f.write(" ".join(self.token(int(v)) for v in row))
-                f.write("\n")
+            for row in self.walks:
+                f.write(" ".join(self.token(int(v)) for v in row) + "\n")
 
 
 def load_corpus_tokens(path) -> tuple[np.ndarray, list[str]]:
@@ -625,20 +559,15 @@ def generate_corpus(g: AugmentedGraph, model: TransitionModel) -> Corpus:
     n_starts = g.n_raw if params.raw_starts_only else g.n_total
     n_walks = params.walks_per_node * n_starts
     all_walks = np.empty((n_walks, params.walk_length), np.int32)
-    sums = _proposal_sums(g, model)
     counts = np.zeros(4, np.int64)
     step = max(1, _CHUNK_UNIFORMS // (2 * (params.walk_length - 1)))
     for k in range(0, n_walks, step):
         iteration, start = np.divmod(np.arange(k, min(k + step, n_walks)), n_starts)
-        all_walks[k:k + len(start)] = _walk_chunk(g, model, sums, iteration, start, counts)
+        all_walks[k:k + len(start)] = _walk_chunk(g, model, iteration, start, counts)
 
     table, rejection, trials, fallbacks = counts.tolist()
     logger.info("walk steps: %d from tables, %d by rejection at %.3f trials each, %d exact fallbacks",
                 table, rejection, trials / max(rejection, 1), fallbacks)
 
-    return Corpus(
-        walks=all_walks,
-        walks_per_node=params.walks_per_node,
-        n_raw=g.n_raw,
-        attr_ids=g.attr_ids.copy(),
-    )
+    return Corpus(walks=all_walks, walks_per_node=params.walks_per_node, n_raw=g.n_raw,
+                  attr_ids=g.attr_ids.copy())

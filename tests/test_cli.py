@@ -336,3 +336,46 @@ def test_build_rejects_node_only_in_self_loops(tmp_path, capsys):
     edges.write_text("0 1\n1 2\n3 3\n")
     assert main(["build", "--edges", str(edges), "--out", str(tmp_path / "b")]) == 2
     assert "edge list line 3: node '3'" in capsys.readouterr().err
+
+
+def test_build_rejects_raw_node_named_like_an_attribute_key(tmp_path, capsys):
+    """Attribute 0's node is keyed a0 in embeddings, so a raw node a0 would
+    give two a0 rows."""
+    (tmp_path / "edges.txt").write_text(EDGES.replace("3", "a0"))
+    (tmp_path / "attrs.txt").write_text(ATTRS.replace("3", "a0"))
+    assert main(["build", "--edges", str(tmp_path / "edges.txt"), "--attrs", str(tmp_path / "attrs.txt"),
+                 "--out", str(tmp_path / "b")]) == 2
+    assert "node 'a0' would share its embedding key with attribute 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scales, message", [
+    ("2.0\nabc\n", "attr scale line 2: bad value 'abc'"),
+    ("# per attribute\n\n2.0\nnan\n", "attr scale line 4: non-finite value nan"),
+    ("2.0\n-1\n", "attr scale line 2: negative value -1.0"),
+    ("2.0 3.0\n", "attr scale line 1: expected 'scale'"),
+    ("2.0\n0\n", "attr_scale of attribute 1 is 0.0; it must be positive and finite"),
+    (None, "--attr-scale-file is required"),
+], ids=["bad-value", "non-finite", "negative", "two-fields", "zero-in-use", "missing-file"])
+def test_attr_scale_file_errors(dataset, tmp_path, capsys, scales, message):
+    """fane build exits 2 naming the scale file's line; fane run fails its
+    build stage and writes no embedding."""
+    config = [f"edges={dataset / 'edges.txt'}", f"attrs={dataset / 'attrs.txt'}", "attr_weight=scale"]
+    if scales is not None:
+        (tmp_path / "scale.txt").write_text(scales)
+        config.append(f"attr_scale_file={tmp_path / 'scale.txt'}")
+    (tmp_path / "fane.cfg").write_text("\n".join(config) + "\n")
+    assert main(["build", "--config", str(tmp_path / "fane.cfg"), "--out", str(tmp_path / "b")]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["run", "--config", str(tmp_path / "fane.cfg"), "--out", str(tmp_path / "r")]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r" / "embeddings.txt").exists()
+
+
+def test_attr_scale_file_scales_virtual_edges(dataset, tmp_path):
+    (tmp_path / "scale.txt").write_text("# attribute 0, then 1\n2.5\n\n0.5\n")
+    out = tmp_path / "b"
+    assert main(["build", "--edges", str(dataset / "edges.txt"), "--attrs", str(dataset / "attrs.txt"),
+                 "--attr-weight", "scale", "--attr-scale-file", str(tmp_path / "scale.txt"),
+                 "--out", str(out), "--dump"]) == 0
+    dump = (out / "augmented.txt").read_text()
+    assert "attr 0 : 0(2.5) 1(2.5)\n" in dump and "attr 1 : 2(0.5) 3(0.5)\n" in dump

@@ -59,8 +59,9 @@ def test_attribute_index_must_fit_32_bits(tmp_path, capsys):
     ("2 2\na 0.5 1\n", "line 3: expected a key and 2 values, got 0 fields"),
     ("2 2\na 0.5 1\nb x 1\n", "line 3: could not convert string to float: 'x'"),
     ("2 1\na 0.5\nb 0.5\n\nc 0.5\n", "line 5: row beyond the header's count of 2"),
+    ("3 1\na 0.5\nb 0.5\na 0.7\n", "line 4: key 'a' repeats line 2"),
 ], ids=["empty", "one-field", "non-integer", "zero-dimension", "short-row", "missing-row",
-        "non-numeric", "extra-row"])
+        "non-numeric", "extra-row", "repeated-key"])
 def test_text_embedding_errors_name_file_line(tmp_path, capsys, text, message):
     path = tmp_path / "emb.txt"
     path.write_text(text)
@@ -85,7 +86,10 @@ def _binary_row(key: bytes, values) -> bytes:
     (b"2 2\n" + _binary_row(b"a", [1, 2])[:-1] + b"xb " + bytes(9), "line 2: expected a key, a space, 2 float32"),
     (b"2 2\n" + b"".join(_binary_row(k, [1, 2]) for k in (b"a", b"b", b"c")),
      "line 4: row beyond the header's count of 2"),
-], ids=["empty", "non-integer", "truncated-key", "short-vector", "no-newline", "extra-row"])
+    (b"3 2\n" + b"".join(_binary_row(k, [1, 2]) for k in (b"a", b"b", b"b")),
+     "line 4: key 'b' repeats line 3"),
+], ids=["empty", "non-integer", "truncated-key", "short-vector", "no-newline", "extra-row",
+        "repeated-key"])
 def test_binary_embedding_errors_name_file_line(tmp_path, capsys, data, message):
     path = tmp_path / "emb.bin"
     path.write_bytes(data)

@@ -230,6 +230,16 @@ def test_attr_edge_weight_rules():
     assert wgts.tolist() == [5.0, 8.0]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_attr_scale_must_be_positive_and_finite_where_used(bad):
+    g = load_edge_list(io.StringIO("0 1\n"))
+    load_attributes(io.StringIO("0 1 2.5\n1 1 4.0\n"), g)
+    with pytest.raises(ValueError, match=f"attr_scale of attribute 1 is {bad}; it must be positive"):
+        build_augmented(g, attr_weight="scale", attr_scale=np.array([1.0, bad]))
+    ag = build_augmented(g, attr_weight="scale", attr_scale=np.array([bad, 2.0]))   # attribute 0 is unused
+    assert ag.neighbor_slice(2)[1].tolist() == [5.0, 8.0]
+
+
 def test_save_load_round_trip_bit_exact(tmp_path):
     g = load_edge_list(io.StringIO("5 9 1.25\n9 3 0.1\n3 5 2.7182818284590451\n"))
     load_attributes(io.StringIO("5 0 0.30000000000000004\n3 2\n"), g)

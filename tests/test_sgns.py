@@ -23,6 +23,22 @@ def test_noise_distribution_three_quarters_power():
     assert noise[1] == pytest.approx(1 / 9, abs=1e-15)
 
 
+def test_vocabulary_peak_memory_below_one_and_a_half_corpora():
+    """Counts and first positions are taken without a sorted copy of the corpus."""
+    walks = np.random.default_rng(3).integers(0, 3000, (12000, 20))
+    tracemalloc.start()
+    try:
+        tokens, counts, _ = build_vocabulary(walks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * walks.nbytes, peak / walks.nbytes
+    flat = walks.ravel().tolist()
+    assert tokens.dtype == walks.dtype and tokens.tolist() == list(dict.fromkeys(flat))
+    uniq, want = np.unique(walks, return_counts=True)
+    assert dict(zip(tokens.tolist(), counts.tolist())) == dict(zip(uniq.tolist(), want.tolist()))
+
+
 def test_vocabulary_rejects_empty():
     with pytest.raises(ValueError):
         build_vocabulary(np.empty((0, 0)))

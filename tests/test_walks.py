@@ -1,7 +1,6 @@
-import dataclasses
 import io
 import json
-import re
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +15,9 @@ from fane import (SF, STF, TF, WalkParams, build_augmented, generate_corpus,
 from fane import walks as walks_module
 from fane.cli import main
 from fane.graph import AttributedGraph
-from fane.walks import (SENTINEL_START, STRATEGIES, TransitionMemoryError,
-                        edge_csr_index, load_corpus_tokens, sample_next)
+from fane.bench import attach_random_attributes, erdos_renyi
+from fane.walks import (SENTINEL_START, STRATEGIES, edge_csr_index, load_corpus_tokens,
+                        sample_next)
 from conftest import random_raw_graph
 from oracles import node2vec_reference as n2v
 from oracles.per_state_tables import per_state_tables
@@ -191,19 +191,52 @@ def test_tau_zero_is_fully_on_demand(five_node_graph):
     assert np.all(model.node_off < 0)
 
 
-def test_memory_budget_error(five_node_graph):
-    with pytest.raises(TransitionMemoryError, match="lower tau"):
-        preprocess_transitions(five_node_graph, WalkParams(), tau=1024, max_entries=3)
+def test_tables_over_budget_fall_back_to_tau_zero(five_node_graph, monkeypatch, caplog):
+    """Tables one entry over the budget are not built: the model is that of
+    tau=0 and a WARNING says so. At the budget exactly they are built."""
+    params = WalkParams(p=2.0, q=0.5, r=0.5, walk_length=12, walks_per_node=3, seed=5)
+    deg = np.diff(five_node_graph.indptr)
+    need = int((deg + deg * deg).sum())
+    monkeypatch.setattr(walks_module, "_MAX_TABLE_ENTRIES", need)
+    assert preprocess_transitions(five_node_graph, params, tau=1024).n_precomputed_entries == need
+    monkeypatch.setattr(walks_module, "_MAX_TABLE_ENTRIES", need - 1)
+    with caplog.at_level(logging.WARNING, logger="fane.walks"):
+        model = preprocess_transitions(five_node_graph, params, tau=1024)
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert f"would need {need} entries" in caplog.records[0].getMessage()
+    assert model.tau == 0 and model.n_precomputed_entries == 0
+    assert np.all(model.node_off < 0) and np.all(model.edge_off < 0)
+    want = generate_corpus(five_node_graph, preprocess_transitions(five_node_graph, params, tau=0))
+    assert generate_corpus(five_node_graph, model).walks.tobytes() == want.walks.tobytes()
 
 
-def test_no_table_node_reads_no_edge(five_node_graph):
-    """With no node of degree 1..tau, preprocessing never touches an edge."""
-    g = dataclasses.replace(five_node_graph, neighbors=None, weights=None)
-    for tau in (0, 1):   # every degree here is >= 2
-        model = preprocess_transitions(g, WalkParams(), tau=tau)
-        assert model.n_precomputed_entries == 0
-        assert len(model.edge_off) == five_node_graph.indptr[-1]
-        assert np.all(model.edge_off < 0) and np.all(model.node_off < 0)
+def test_attribute_heavy_graph_walks_at_default_tau():
+    """1000 raw nodes with 3000 of 6000 attributes each: tables at tau=1024
+    would need 1.5e9 entries, so the graph walks by rejection alone."""
+    ag = build_augmented(attach_random_attributes(erdos_renyi(1000, 10, 1), 3000, 6000, 2))
+    model = preprocess_transitions(ag, WalkParams(walk_length=5, walks_per_node=1))
+    assert model.tau == 0 and model.n_precomputed_entries == 0
+    walks = generate_corpus(ag, model).walks
+    assert walks.shape == (ag.n_total, 5)
+    for walk in walks[::35]:
+        assert all(ag.has_edge(int(a), int(b)) for a, b in zip(walk[:-1], walk[1:]))
+
+
+def test_sampling_rebuilds_no_prefix_sums(five_node_graph, monkeypatch):
+    """The prefix sums are built once, by preprocess_transitions."""
+    params = WalkParams(p=2.0, q=0.5, r=0.5, walk_length=10, walks_per_node=2, seed=4)
+    model = preprocess_transitions(five_node_graph, params, tau=0)
+    want = generate_corpus(five_node_graph, model).walks
+
+    def rebuilt(*args):
+        raise AssertionError("prefix sums rebuilt after preprocessing")
+
+    monkeypatch.setattr(walks_module, "_proposal_sums", rebuilt)
+    assert generate_corpus(five_node_graph, model).walks.tobytes() == want.tobytes()
+    n = five_node_graph.n_total
+    assert np.array_equal(generate_walk(five_node_graph, model, 3, iteration=1), want[n + 3])
+    for u, v in [(SENTINEL_START, 0), *_directed_states(five_node_graph)]:
+        assert len(sample_next(five_node_graph, model, u, v, 50, seed=1)) == 50
 
 
 def test_node_without_neighbors_rejected():
@@ -214,21 +247,6 @@ def test_node_without_neighbors_rejected():
     for tau in (0, 16):
         with pytest.raises(ValueError, match="node 3 has no neighbors"):
             preprocess_transitions(ag, WalkParams(), tau=tau)
-
-
-def test_memory_budget_error_names_a_tau_that_fits():
-    ag, _ = random_raw_graph(np.random.default_rng(5), 20, 30)
-    params = WalkParams(p=2.0, q=0.5)
-    deg = np.diff(ag.indptr)
-    total = int((deg + deg * deg).sum())
-    for budget in range(0, total, max(1, total // 25)):
-        with pytest.raises(TransitionMemoryError, match="lower tau") as err:
-            preprocess_transitions(ag, params, tau=1024, max_entries=budget)
-        fit = int(re.search(r"to (\d+) or less", str(err.value)).group(1))
-        model = preprocess_transitions(ag, params, tau=fit, max_entries=budget)
-        assert model.n_precomputed_entries <= budget
-        with pytest.raises(TransitionMemoryError):
-            preprocess_transitions(ag, params, tau=int(deg[deg > fit].min()), max_entries=budget)
 
 
 TABLE_FIELDS = ("node_off", "node_accept", "node_alias", "edge_off", "edge_accept", "edge_alias")
