@@ -164,7 +164,7 @@ def _parse_ratios(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValueError("ratio range must be start:stop:step")
+            raise ValueError(f"ratios {text!r}: a range must be start:stop:step")
         start, stop, step = (float(p) for p in parts)
         if not (step > 0 and stop >= start):
             raise ValueError(f"ratios {text!r}: the step must be positive and the stop at least the start")
@@ -180,7 +180,10 @@ def _parse_ratios(text: str) -> list[float]:
 def _parse_series(text: str) -> list[int]:
     """"A:B" = decades from A to B; "a,b,c" = explicit; "n" = single point."""
     if ":" in text:
-        lo, hi = (int(t) for t in text.split(":"))
+        parts = text.split(":")
+        if len(parts) != 2:
+            raise ValueError(f"series {text!r}: a range must be A:B")
+        lo, hi = (int(t) for t in parts)
         if lo < 1 or hi < lo:
             raise ValueError(f"series {text!r}: the start must be at least 1 and the end at least the start")
         vals = []
@@ -190,6 +193,25 @@ def _parse_series(text: str) -> list[int]:
             x *= 10
         return vals
     return [int(t) for t in text.split(",")]
+
+
+def _read_nodemap(path, tokens) -> dict:
+    """id -> name; ids and names must not repeat, and a mapped corpus token's
+    name must not be another corpus token that keeps its own id as key."""
+    names, seen = {}, {}
+    for lineno, (node, name) in read_records(path, "nodemap", "id name"):
+        for what, value in (("id", node), ("name", name)):
+            if (what, value) in seen:
+                raise GraphFormatError(f"nodemap line {lineno}: {what} {value!r} "
+                                       f"repeats line {seen[what, value]}")
+            seen[what, value] = lineno
+        names[node] = name
+    tokens = set(tokens)
+    for node, name in names.items():
+        if node in tokens and name in tokens and name not in names:
+            raise GraphFormatError(f"nodemap line {seen['name', name]}: name {name!r} "
+                                   f"is also a corpus token that no line maps")
+    return names
 
 
 def _load_graph(cfg) -> AttributedGraph:
@@ -239,7 +261,7 @@ def _classify(emb: EmbeddingMatrix, keys, y, cfg, path):
     report = ev.evaluate_classification(feats, y, _parse_ratios(cfg["ratios"]), C=cfg["C"],
                                         repetitions=cfg["reps"], seed=cfg["seed"])
     with _artifact(path) as tmp:
-        report.save_csv(tmp, d=emb.dimension)
+        report.save_csv(tmp)
     return report
 
 
@@ -271,9 +293,7 @@ def cmd_walk(args, cfg) -> int:
 
 def cmd_embed(args, cfg) -> int:
     walks, tokens = load_corpus_tokens(args.corpus)
-    names = {}
-    if args.nodemap:
-        names = dict(fields for _, fields in read_records(args.nodemap, "nodemap", "id name"))
+    names = _read_nodemap(args.nodemap, tokens) if args.nodemap else {}
     emb = train(walks, _train_params(cfg), key_fn=lambda i: names.get(tokens[i], tokens[i]))
     with _artifact(args.out) as tmp:
         (emb.save_binary if args.binary else emb.save_text)(tmp)

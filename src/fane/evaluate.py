@@ -175,32 +175,20 @@ class LinearSVM:
         return self.classes_[np.argmax(self.decision_scores(X), axis=1)]
 
 
-def train_linear_svm(features, labels, C: float, iters: int | None = None) -> LinearSVM:
-    """Fit the one-vs-rest linear classifier on (already selected) rows."""
-    return LinearSVM(C=C, iters=iters).fit(features, labels)
-
-
-def classify_once(features, labels, train_idx, test_idx, C: float,
-                  iters: int | None = None, classes=None) -> tuple[float, float]:
-    """Fit on train rows, score micro/macro F1 on test rows."""
-    clf = train_linear_svm(features[train_idx], labels[train_idx], C, iters=iters)
-    pred = clf.predict(features[test_idx])
-    truth = labels[test_idx]
-    if classes is None:
-        classes = np.unique(labels)
-    return micro_f1(pred, truth), macro_f1(pred, truth, classes=classes)
-
-
 # ---------------------------------------------------------------- report
+
+_CSV_COLUMNS = ("ratio", "rep", "C", "d", "micro_f1", "macro_f1")
+
 
 @dataclass
 class ClassificationReport:
-    """Mean/stddev Micro-F1 and Macro-F1 per training ratio."""
+    """Micro-/Macro-F1 per (ratio, rep) split. C, seed and repetitions are the
+    settings that made the rows; None in `save_sweep`, whose rows span several C."""
 
-    C: float
-    seed: int
-    repetitions: int
-    rows: list[dict] = field(default_factory=list)   # ratio, rep, micro_f1, macro_f1
+    C: float | None
+    seed: int | None
+    repetitions: int | None
+    rows: list[dict] = field(default_factory=list)   # keyed by _CSV_COLUMNS
 
     def ratio_summary(self) -> list[dict]:
         out = []
@@ -218,18 +206,22 @@ class ClassificationReport:
         vals = [r["micro_f1"] for r in self.rows if abs(r["ratio"] - ratio) < 1e-9]
         return float(np.mean(vals))
 
-    def save_csv(self, path, d: int | None = None) -> None:
+    def save_csv(self, path) -> None:
+        """One line per row, columns _CSV_COLUMNS."""
         with open(path, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)
-            w.writerow(["ratio", "rep", "C", "d", "micro_f1", "macro_f1"])
+            w.writerow(_CSV_COLUMNS)
             for r in self.rows:
-                w.writerow([r["ratio"], r["rep"], self.C, d if d is not None else "",
-                            r["micro_f1"], r["macro_f1"]])
+                w.writerow([r[k] for k in _CSV_COLUMNS])
 
 
 def evaluate_classification(features, labels, ratios, C: float, repetitions: int = 10,
                             seed: int = 1, iters: int | None = None) -> ClassificationReport:
-    """Train-ratio sweep of the classifier on fixed features."""
+    """Train-ratio sweep on fixed features: the one loop that fits a `LinearSVM`.
+
+    Each split of each ratio fits the train rows and scores the test rows; each
+    row carries C and d, the feature dimension.
+    """
     labels = np.asarray(labels)
     classes, counts = np.unique(labels, return_counts=True)
     report = ClassificationReport(C=C, seed=seed, repetitions=repetitions)
@@ -239,8 +231,11 @@ def evaluate_classification(features, labels, ratios, C: float, repetitions: int
             raise ValueError(f"train ratio {ratio}: every class has one member, so all "
                              f"{len(labels)} rows go to train and no row is left to test")
         for rep, (tr, te) in enumerate(split(labels, spec)):
-            mi, ma = classify_once(features, labels, tr, te, C, iters=iters, classes=classes)
-            report.rows.append({"ratio": ratio, "rep": rep, "micro_f1": mi, "macro_f1": ma})
+            clf = LinearSVM(C=C, iters=iters).fit(features[tr], labels[tr])
+            pred, truth = clf.predict(features[te]), labels[te]
+            report.rows.append({"ratio": ratio, "rep": rep, "C": C, "d": features.shape[1],
+                                "micro_f1": micro_f1(pred, truth),
+                                "macro_f1": macro_f1(pred, truth, classes=classes)})
     return report
 
 
@@ -495,37 +490,22 @@ def run_sweep(graph, walk_params, d_grid, C_grid, ratio: float = 0.5,
 
 def sweep_grid(features_by_d: dict, labels, C_grid, ratio: float = 0.5,
                repetitions: int = 10, seed: int = 1, iters: int | None = None):
-    """F1 over a (d, C) grid on cached per-d features.
-
-    Returns tidy rows [{d, C, ratio, rep, micro_f1, macro_f1}] plus the
-    (d, C) matrix of mean Micro-F1.
-    """
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
+    """F1 over a (d, C) grid of features keyed by dimension, one
+    `evaluate_classification` call per cell. Returns (rows, ds, Cs, mean Micro-F1 matrix)."""
     ds = sorted(features_by_d)
     rows = []
     matrix = np.zeros((len(ds), len(C_grid)))
-    spec = SplitSpec(train_ratio=ratio, repetitions=repetitions, seed=seed)
-    splits = split(labels, spec)
     for i, d in enumerate(ds):
-        feats = features_by_d[d]
         for j, C in enumerate(C_grid):
-            per_rep = []
-            for rep, (tr, te) in enumerate(splits):
-                mi, ma = classify_once(feats, labels, tr, te, C, iters=iters, classes=classes)
-                rows.append({"d": d, "C": C, "ratio": ratio, "rep": rep,
-                             "micro_f1": mi, "macro_f1": ma})
-                per_rep.append(mi)
-            matrix[i, j] = float(np.mean(per_rep))
+            report = evaluate_classification(features_by_d[d], labels, [ratio], C,
+                                             repetitions=repetitions, seed=seed, iters=iters)
+            rows += report.rows
+            matrix[i, j] = report.mean_micro(ratio)
     return rows, ds, list(C_grid), matrix
 
 
 def save_sweep(path_csv, rows, ds, C_grid, matrix, path_matrix=None, path_svg=None):
-    with open(path_csv, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["ratio", "rep", "C", "d", "micro_f1", "macro_f1"])
-        for r in rows:
-            w.writerow([r["ratio"], r["rep"], r["C"], r["d"], r["micro_f1"], r["macro_f1"]])
+    ClassificationReport(C=None, seed=None, repetitions=None, rows=rows).save_csv(path_csv)
     if path_matrix:
         with open(path_matrix, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)

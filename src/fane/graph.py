@@ -406,9 +406,6 @@ class AugmentedGraph:
         s, e = self.indptr[v], self.indptr[v + 1]
         return self.neighbors[s:e], self.weights[s:e]
 
-    def is_attr(self, v) -> bool | np.ndarray:
-        return v >= self.n_raw
-
     def has_edge(self, u: int, x) -> bool | np.ndarray:
         """Adjacency test against u's (sorted) neighbor list; vectorized over x."""
         nbrs = self.neighbors[self.indptr[u]:self.indptr[u + 1]]

@@ -44,11 +44,14 @@ def test_parse_series():
     assert _parse_series("100:100000") == [100, 1000, 10000, 100000]
     assert _parse_series("5,7,9") == [5, 7, 9]
     assert _parse_series("42") == [42]
+    with pytest.raises(ValueError, match="series '1:10:100': a range must be A:B"):
+        _parse_series("1:10:100")
 
 
-@pytest.mark.parametrize("series", ["0:10", "-3:10", "10:5"])
+@pytest.mark.parametrize("series", ["0:10", "-3:10", "10:5", "1:10:100"])
 def test_bench_series_range_must_grow_from_one(series, tmp_path, capsys):
-    """A start below 1 never reaches the end by decades; exit 2 before any work."""
+    """A start below 1 never reaches the end by decades, and a range has two
+    ends; exit 2 before any work, naming the value."""
     with pytest.raises(ValueError, match=f"series '{series}'"):
         _parse_series(series)
     assert main(["bench", f"--nodes={series}", "--out", str(tmp_path / "b.csv")]) == 2
@@ -90,7 +93,11 @@ def test_build_walk_embed_eval_viz_chain(dataset, tmp_path, capsys):
                "--ratios", "0.5", "--C", "1.0", "--reps", "3",
                "--out", str(report)])
     assert rc == 0
-    assert report.read_text().startswith("ratio,rep,C,d,micro_f1,macro_f1")
+    lines = report.read_text().splitlines()
+    assert lines[0] == "ratio,rep,C,d,micro_f1,macro_f1"
+    assert len(lines) == 1 + 3
+    # every row carries --C and the embedding's dimension
+    assert all(line.split(",")[2:4] == ["1.0", "4"] for line in lines[1:])
 
     rc = main(["viz", "--embeddings", str(emb_path), "--mode", "pca",
                "--color-by", "attribute", "--attrs", str(dataset / "attrs.txt"),
@@ -291,6 +298,35 @@ def test_embed_accepts_window_beyond_255(dataset, tmp_path):
     assert main(["embed", "--corpus", str(corpus), "--out", str(emb), "--dim", "2",
                  "--window", "300", "--epochs", "1"]) == 0
     assert emb.exists()
+
+
+@pytest.mark.parametrize("nodemap,message", [
+    ("0 a0\n", "nodemap line 1: name 'a0' is also a corpus token that no line maps"),
+    ("0 x\n1 x\n", "nodemap line 2: name 'x' repeats line 1"),
+    ("0 x\n# comment\n0 y\n", "nodemap line 3: id '0' repeats line 1"),
+], ids=["name-is-unmapped-token", "name-repeats", "id-repeats"])
+def test_embed_nodemap_must_give_unique_keys(nodemap, message, tmp_path, capsys):
+    """A nodemap that would give two embedding rows one key exits 2, naming its line."""
+    (tmp_path / "corpus.txt").write_text("0 a0 1\n1 a0 0\n")
+    (tmp_path / "nodemap.txt").write_text(nodemap)
+    out = tmp_path / "emb.txt"
+    assert main(["embed", "--corpus", str(tmp_path / "corpus.txt"), "--out", str(out),
+                 "--nodemap", str(tmp_path / "nodemap.txt"), "--dim", "2", "--window", "1",
+                 "--epochs", "1"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_embed_nodemap_may_swap_ids(tmp_path):
+    """Ids mapped onto each other's names still give one row per key."""
+    (tmp_path / "corpus.txt").write_text("0 a0 1\n1 a0 0\n")
+    (tmp_path / "nodemap.txt").write_text("0 1\n1 0\nunused x\n")
+    out = tmp_path / "emb.txt"
+    assert main(["embed", "--corpus", str(tmp_path / "corpus.txt"), "--out", str(out),
+                 "--nodemap", str(tmp_path / "nodemap.txt"), "--dim", "2", "--window", "1",
+                 "--epochs", "1"]) == 0
+    keys = [line.split()[0] for line in out.read_text().splitlines()[1:]]
+    assert sorted(keys) == ["0", "1", "a0"]
 
 
 def test_unknown_flag_is_error(dataset, tmp_path):

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fane.evaluate import (LinearSVM, SplitSpec, classify_once,
-                           evaluate_classification, kmeans, macro_f1,
-                           micro_f1, pca_top_components, project_2d,
-                           silhouette_score, split, stratified_split,
-                           sweep_grid, train_linear_svm)
+from fane.evaluate import (LinearSVM, SplitSpec, evaluate_classification,
+                           kmeans, macro_f1, micro_f1, pca_top_components,
+                           project_2d, silhouette_score, split,
+                           stratified_split, sweep_grid)
 
 
 # ---------------------------------------------------------------- splits
@@ -105,14 +104,14 @@ def test_svm_separable_toy_perfect_training_accuracy():
     X = np.array([[2.0, 1.5], [1.5, 2.0], [2.5, 2.5],
                   [-2.0, -1.0], [-1.0, -2.0], [-2.5, -2.0]])
     y = np.array([0, 0, 0, 1, 1, 1])
-    clf = train_linear_svm(X, y, C=10.0, iters=500)
+    clf = LinearSVM(C=10.0, iters=500).fit(X, y)
     assert micro_f1(clf.predict(X), y) == 1.0
 
 
 def test_svm_single_class_rejected():
     X = np.zeros((4, 2))
     with pytest.raises(ValueError):
-        train_linear_svm(X, np.zeros(4, int), C=1.0)
+        LinearSVM(C=1.0).fit(X, np.zeros(4, int))
 
 
 def test_svm_matches_brute_force_margin_maximizer():
@@ -133,7 +132,7 @@ def test_svm_matches_brute_force_margin_maximizer():
                 best_margin, best_w = margin, flip
     assert best_margin > 0
 
-    clf = train_linear_svm(X, y, C=100.0, iters=4000)
+    clf = LinearSVM(C=100.0, iters=4000).fit(X, y)
     gx, gy = np.meshgrid(np.linspace(-3, 3, 7), np.linspace(-3, 3, 7))
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
     grid_c = grid - X.mean(axis=0)
@@ -163,13 +162,14 @@ def test_svm_tie_breaks_toward_smaller_class():
     assert clf.predict(np.ones((3, 2))).tolist() == [3, 3, 3]
 
 
-def test_classify_once_reports_both_metrics():
+def test_linear_svm_split_scores_both_metrics():
     rng = np.random.default_rng(4)
     X = np.concatenate([rng.normal(0, 0.3, (20, 3)) + [2, 0, 0],
                         rng.normal(0, 0.3, (20, 3)) - [2, 0, 0]])
     y = np.repeat([0, 1], 20)
     tr, te = stratified_split(y, 0.5, rng)
-    mi, ma = classify_once(X, y, tr, te, C=1.0)
+    pred = LinearSVM(C=1.0).fit(X[tr], y[tr]).predict(X[te])
+    mi, ma = micro_f1(pred, y[te]), macro_f1(pred, y[te], classes=[0, 1])
     assert mi > 0.9 and ma > 0.9
 
 
@@ -282,10 +282,11 @@ def test_evaluate_classification_report_shape(tmp_path):
     summary = report.ratio_summary()
     assert [s["ratio"] for s in summary] == [0.3, 0.6]
     out = tmp_path / "report.csv"
-    report.save_csv(out, d=3)
+    report.save_csv(out)
     lines = out.read_text().splitlines()
     assert lines[0] == "ratio,rep,C,d,micro_f1,macro_f1"
     assert len(lines) == 9
+    assert all(line.split(",")[2:4] == ["1.0", "3"] for line in lines[1:])
 
 
 def test_run_sweep_trains_once_per_dimension(tmp_path):
@@ -321,3 +322,28 @@ def test_sweep_grid_counts_and_determinism():
     # identical C values give identical scores on fixed features
     assert matrix[0, 0] == matrix[0, 1]
     assert matrix[1, 0] == matrix[1, 1]
+
+
+def test_sweep_grid_cells_are_evaluate_classification_calls():
+    """Each (d, C) cell's rows are one evaluate_classification call's rows,
+    C and d included, and its matrix entry is their mean Micro-F1."""
+    rng = np.random.default_rng(17)
+    X = np.concatenate([rng.normal(0, 0.8, (15, 3)) + [1, 0, 0],
+                        rng.normal(0, 0.8, (15, 3)) - [1, 0, 0],
+                        rng.normal(0, 0.8, (15, 3)) + [0, 1, 0]])
+    y = np.repeat([0, 1, 2], 15)
+    feats = {3: X, 5: np.hstack([X, X[:, :2] ** 2])}
+    C_grid = [0.1, 2.0]
+    rows, ds, cs, matrix = sweep_grid(feats, y, C_grid, ratio=0.4, repetitions=3,
+                                      seed=5, iters=200)
+    assert (ds, cs) == ([3, 5], C_grid)
+    assert len(rows) == len(ds) * len(C_grid) * 3
+    cells = iter(rows[k:k + 3] for k in range(0, len(rows), 3))
+    for i, d in enumerate(ds):
+        for j, C in enumerate(C_grid):
+            report = evaluate_classification(feats[d], y, [0.4], C, repetitions=3,
+                                             seed=5, iters=200)
+            cell = next(cells)
+            assert cell == report.rows
+            assert all(r["C"] == C and r["d"] == d for r in cell)
+            assert matrix[i, j] == report.mean_micro(0.4)
