@@ -159,13 +159,22 @@ def _artifact(path):
 
 # ---------------------------------------------------------------- helpers
 
+def _parse_item(what: str, text: str, item: str, kind):
+    """`kind(item)`, or a ValueError naming the flag's value and the item."""
+    try:
+        return kind(item)
+    except ValueError:
+        noun = "a number" if kind is float else "an integer"
+        raise ValueError(f"{what} {text!r}: {item!r} is not {noun}") from None
+
+
 def _parse_ratios(text: str) -> list[float]:
-    """"start:stop:step" = inclusive range; "a,b,c" = explicit."""
+    """"start:stop:step" = inclusive range; "a,b,c" = explicit; each in (0, 1)."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"ratios {text!r}: a range must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_parse_item("ratios", text, p, float) for p in parts)
         if not (step > 0 and stop >= start):
             raise ValueError(f"ratios {text!r}: the step must be positive and the stop at least the start")
         vals = []
@@ -173,8 +182,12 @@ def _parse_ratios(text: str) -> list[float]:
         while x <= stop + 1e-9:
             vals.append(round(x, 10))
             x += step
-        return vals
-    return [float(t) for t in text.split(",")]
+    else:
+        vals = [_parse_item("ratios", text, t, float) for t in text.split(",")]
+    for v in vals:
+        if not (0.0 < v < 1.0):
+            raise ValueError(f"ratios {text!r}: {v:g} is not in (0, 1)")
+    return vals
 
 
 def _parse_series(text: str) -> list[int]:
@@ -183,7 +196,7 @@ def _parse_series(text: str) -> list[int]:
         parts = text.split(":")
         if len(parts) != 2:
             raise ValueError(f"series {text!r}: a range must be A:B")
-        lo, hi = (int(t) for t in parts)
+        lo, hi = (_parse_item("series", text, t, int) for t in parts)
         if lo < 1 or hi < lo:
             raise ValueError(f"series {text!r}: the start must be at least 1 and the end at least the start")
         vals = []
@@ -192,7 +205,7 @@ def _parse_series(text: str) -> list[int]:
             vals.append(x)
             x *= 10
         return vals
-    return [int(t) for t in text.split(",")]
+    return [_parse_item("series", text, t, int) for t in text.split(",")]
 
 
 def _read_nodemap(path, tokens) -> dict:
@@ -372,6 +385,7 @@ def cmd_bench(args, cfg) -> int:
 def run_pipeline(cfg: dict, dry_run: bool = False) -> dict:
     """build -> walk -> embed -> eval with a manifest; returns artifact paths."""
     out = Path(_need(cfg, "out"))
+    _parse_ratios(cfg["ratios"])   # a bad value exits 2 before any stage runs
     out.mkdir(parents=True, exist_ok=True)
     artifacts = {"manifest": out / "manifest.txt"}
     write_manifest(artifacts["manifest"], cfg)

@@ -24,6 +24,7 @@ _INIT_STREAM = 0
 _EPOCH_STREAM = 10
 _CHUNK_WALKS = 1024     # walks whose pairs are drawn, shuffled and trained together
 _BATCH_PAIRS = 8192     # pairs per _apply_batch call, at most
+_COUNT_SLICE = 1 << 16  # corpus tokens per np.bincount call in build_vocabulary
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,15 @@ def build_vocabulary(walks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     flat = np.asarray(walks).ravel()
     if flat.size == 0:
         raise ValueError("empty corpus")
-    counts = np.bincount(flat)
+    # bincount copies its input to int64, so counting goes slice by slice
+    size = int(flat.max()) + 1
+    counts = np.zeros(size, np.int64)
     pos_type = np.min_scalar_type(flat.size)
-    first = np.full(len(counts), flat.size, pos_type)
-    np.minimum.at(first, flat, np.arange(flat.size, dtype=pos_type))
+    first = np.full(size, flat.size, pos_type)
+    for lo in range(0, flat.size, _COUNT_SLICE):
+        part = flat[lo:lo + _COUNT_SLICE]
+        counts += np.bincount(part, minlength=size)
+        np.minimum.at(first, part, np.arange(lo, lo + len(part), dtype=pos_type))
     tokens = np.flatnonzero(counts)
     tokens = tokens[np.argsort(first[tokens], kind="stable")]
     counts = counts[tokens]

@@ -40,6 +40,45 @@ def test_ratio_range_must_step_up(ratios, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ratios, message", [
+    ("0.1,x", "ratios '0.1,x': 'x' is not a number"),
+    ("0.1:x:0.1", "ratios '0.1:x:0.1': 'x' is not a number"),
+    ("0.5,1.5", "ratios '0.5,1.5': 1.5 is not in (0, 1)"),
+    ("0,0.5", "ratios '0,0.5': 0 is not in (0, 1)"),
+    ("0.5:1.5:0.5", "ratios '0.5:1.5:0.5': 1 is not in (0, 1)"),
+    ("nan", "ratios 'nan': nan is not in (0, 1)"),
+], ids=["word", "word-in-range", "above-one", "zero", "range-reaches-one", "nan"])
+def test_ratio_items_must_be_numbers_in_the_unit_interval(ratios, message, tmp_path, capsys):
+    """eval and run name the value and the bad item, and exit 2 before any work."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _parse_ratios(ratios)
+    emb = tmp_path / "emb.txt"
+    emb.write_text("2 1\n0 0.5\n1 -0.5\n")
+    (tmp_path / "labels.txt").write_text("0 x\n1 y\n")
+    out = tmp_path / "report.csv"
+    assert main(["eval", "--embeddings", str(emb), "--labels", str(tmp_path / "labels.txt"),
+                 f"--ratios={ratios}", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["run", "--edges", str(tmp_path / "missing.txt"), f"--ratios={ratios}",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("series, message", [
+    ("10,x", "series '10,x': 'x' is not an integer"),
+    ("1:x", "series '1:x': 'x' is not an integer"),
+    ("1e3", "series '1e3': '1e3' is not an integer"),
+], ids=["word", "word-in-range", "exponent"])
+def test_series_items_must_be_integers(series, message, tmp_path, capsys):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _parse_series(series)
+    assert main(["bench", f"--nodes={series}", "--out", str(tmp_path / "b.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_parse_series():
     assert _parse_series("100:100000") == [100, 1000, 10000, 100000]
     assert _parse_series("5,7,9") == [5, 7, 9]

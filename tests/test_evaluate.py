@@ -1,14 +1,17 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fane import evaluate
 from fane.evaluate import (LinearSVM, SplitSpec, evaluate_classification,
                            kmeans, macro_f1, micro_f1, pca_top_components,
                            project_2d, silhouette_score, split,
                            stratified_split, sweep_grid)
+from oracles import pegasos_reference, unblocked_distances
 
 
 # ---------------------------------------------------------------- splits
@@ -114,6 +117,11 @@ def test_svm_single_class_rejected():
         LinearSVM(C=1.0).fit(X, np.zeros(4, int))
 
 
+def test_svm_step_cap_must_be_positive():
+    with pytest.raises(ValueError, match="iters must be at least 1"):
+        LinearSVM(C=1.0, iters=0)
+
+
 def test_svm_matches_brute_force_margin_maximizer():
     # 6-point 2-D set; the oracle maximizes the hard margin of a hyperplane
     # through the origin of the centered data, found by scanning directions
@@ -162,6 +170,48 @@ def test_svm_tie_breaks_toward_smaller_class():
     assert clf.predict(np.ones((3, 2))).tolist() == [3, 3, 3]
 
 
+def _primal(clf, X, y):
+    """Each class's ½‖w‖² + C·Σ hinge, recomputed from the fitted weights."""
+    Y = np.where(np.asarray(y)[:, None] == clf.classes_[None, :], 1.0, -1.0)
+    margins = Y * ((X - clf.mean_) @ clf.weights_.T)
+    return 0.5 * (clf.weights_ ** 2).sum(axis=1) + clf.C * np.maximum(0.0, 1.0 - margins).sum(axis=0)
+
+
+@pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize("d", [2, 8, 128])
+def test_svm_objective_and_predictions_match_pegasos_oracle(d, k, C):
+    """The dual solver minimises the objective Pegasos minimised, at least as
+    well per class, and predicts held-out rows as Pegasos does."""
+    rng = np.random.default_rng(1000 * d + 10 * k + int(10 * C))
+    n = 200
+    y_all = rng.integers(0, k, n + 200)
+    X_all = 2.0 * rng.normal(size=(k, d))[y_all] + rng.normal(scale=1.5, size=(n + 200, d))
+    X, y, X_test = X_all[:n], y_all[:n], X_all[n:]
+    got = LinearSVM(C=C).fit(X, y)
+    want = pegasos_reference.fit(LinearSVM(C=C), X, y)
+    assert got.gap_ < 1e-4
+    assert np.all(_primal(got, X, y) <= _primal(want, X, y) * (1 + 1e-4))
+    assert np.mean(got.predict(X_test) == want.predict(X_test)) >= 0.98
+
+
+def test_svm_reports_steps_and_gap(caplog):
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(120, 5))
+    y = (X[:, 0] + 0.5 * rng.normal(size=120) > 0).astype(int)
+    with caplog.at_level(logging.WARNING, logger="fane.evaluate"):
+        clf = LinearSVM(C=1.0).fit(X, y)
+    assert clf.gap_ < 1e-4 and 0 < clf.n_iter_ < evaluate._MAX_STEPS
+    assert not caplog.records
+    with caplog.at_level(logging.WARNING, logger="fane.evaluate"):
+        capped = LinearSVM(C=1.0, iters=10).fit(X, y)
+    assert capped.n_iter_ == 10 and capped.gap_ >= 1e-4
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert "C=1, n=120" in record.getMessage()
+    assert f"gap {capped.gap_:.3g}" in record.getMessage()
+
+
 def test_linear_svm_split_scores_both_metrics():
     rng = np.random.default_rng(4)
     X = np.concatenate([rng.normal(0, 0.3, (20, 3)) + [2, 0, 0],
@@ -202,6 +252,18 @@ def test_kmeans_deterministic():
     a, _, _ = kmeans(X, 4, seed=9)
     b, _, _ = kmeans(X, 4, seed=9)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("block", [None, 1, 37])
+def test_kmeans_blocks_match_unblocked_oracle(block, monkeypatch):
+    if block:
+        monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", block)
+    X = np.random.default_rng(2).normal(size=(150, 3)) * [3.0, 1.0, 0.2]
+    got = kmeans(X, 5, seed=4)
+    want = unblocked_distances.kmeans(X, 5, seed=4)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]
 
 
 # ---------------------------------------------------------------- PCA
@@ -268,6 +330,30 @@ def test_silhouette_separated_vs_mixed():
     assert low < 0.2
     with pytest.raises(ValueError):
         silhouette_score(sep, np.zeros(50))
+
+
+@pytest.mark.parametrize("block", [None, 1, 100])
+def test_silhouette_blocks_match_unblocked_oracle(block, monkeypatch):
+    if block:
+        monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(61, 4))
+    labels = np.array(["a"] * 20 + ["b"] * 25 + ["c"] * 15 + ["lone"])
+    assert silhouette_score(X, labels) == unblocked_distances.silhouette_score(X, labels)
+
+
+def test_silhouette_memory_is_bounded_below_the_distance_matrix():
+    rng = np.random.default_rng(19)
+    n = 3000
+    X = rng.normal(size=(n, 2))
+    labels = rng.integers(0, 3, n)
+    tracemalloc.start()
+    try:
+        silhouette_score(X, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 8, peak
 
 
 # ---------------------------------------------------------------- reports

@@ -23,9 +23,11 @@ def test_noise_distribution_three_quarters_power():
     assert noise[1] == pytest.approx(1 / 9, abs=1e-15)
 
 
-def test_vocabulary_peak_memory_below_one_and_a_half_corpora():
-    """Counts and first positions are taken without a sorted copy of the corpus."""
-    walks = np.random.default_rng(3).integers(0, 3000, (12000, 20))
+@pytest.mark.parametrize("dtype", [np.int32, np.int64], ids=["int32", "int64"])
+def test_vocabulary_peak_memory_below_one_and_a_half_corpora(dtype):
+    """Counts and first positions are taken without a sorted copy of the corpus,
+    and without an int64 copy of an int32 corpus (walks are int32)."""
+    walks = np.random.default_rng(3).integers(0, 3000, (12000, 20)).astype(dtype)
     tracemalloc.start()
     try:
         tokens, counts, _ = build_vocabulary(walks)
