@@ -335,8 +335,9 @@ def kmeans(X, k: int, seed: int = 1, max_iter: int = 300, tol: float = 1e-6):
 
 # ---------------------------------------------------------------- PCA / viz
 
-def pca_top_components(X, n_components: int = 2, max_iter: int = 5000, tol: float = 1e-13):
-    """Leading principal components by power iteration with deflation.
+def pca_top_components(X, n_components: int = 2):
+    """Leading principal components from the eigendecomposition of the d×d
+    covariance (``np.linalg.eigh``).
 
     Returns (components (c, d), eigenvalues, total_variance). Covariance uses
     the 1/n normalization so discarded-eigenvalue sums match mean squared
@@ -352,30 +353,11 @@ def pca_top_components(X, n_components: int = 2, max_iter: int = 5000, tol: floa
     total_variance = float(np.trace(cov))
     if total_variance <= 0:
         raise ValueError("degenerate input: zero variance")
-    comps = np.empty((n_components, d))
-    eigs = np.empty(n_components)
-    work = cov.copy()
-    rng = np.random.default_rng(0x9E3779B9)
-    for c in range(n_components):
-        v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        for _ in range(max_iter):
-            w = work @ v
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                break
-            w /= norm
-            if np.linalg.norm(w - v) < tol or np.linalg.norm(w + v) < tol:
-                v = w
-                break
-            v = w
-        lam = float(v @ work @ v)
-        peak = int(np.argmax(np.abs(v)))
-        if v[peak] < 0:
-            v = -v
-        comps[c] = v
-        eigs[c] = lam
-        work = work - lam * np.outer(v, v)
+    eigs, vecs = np.linalg.eigh(cov)                  # ascending
+    eigs = eigs[::-1][:n_components].copy()
+    comps = vecs[:, ::-1][:, :n_components].T.copy()
+    peak = np.argmax(np.abs(comps), axis=1)
+    comps[comps[np.arange(n_components), peak] < 0] *= -1
     return comps, eigs, total_variance
 
 

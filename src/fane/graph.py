@@ -44,6 +44,204 @@ def _open_text(source):
             f.detach()
 
 
+# load_edge_list, load_attributes (sparse) and load_labels read a file's
+# bytes once and parse them with numpy block by block. On a byte or number
+# the scanner does not define, or on any fault, they hand the same text to
+# the per-record parser, which gives the same graph or names the bad line.
+
+# Bytes per block, each ending on a newline; 256 KB keeps the scanner's peak
+# below the per-record parser's.
+_BLOCK_BYTES = 1 << 18
+# Largest padded name matrix, in bytes, that one np.unique sorts.
+_NAME_BYTES = 1 << 22
+# Longest number token the scanner parses.
+_NUMBER_BYTES = 32
+
+# Bytes the scanner defines: tab, LF, CR (before LF only) and printable ASCII.
+_SCANNED = np.zeros(256, bool)
+_SCANNED[[9, 10, 13]] = True
+_SCANNED[32:127] = True
+_SPACE = np.zeros(256, bool)
+_SPACE[[9, 10, 13, 32]] = True
+
+# A number is [+-]digits[.digits][(e|E)[+-]digits]. Byte classes: digit,
+# sign, dot, exponent mark, other; states: start, sign, digits, dot,
+# fraction, exponent mark, exponent sign, exponent digits, rejected.
+_NUM_CLASS = np.full(256, 4, np.int8)
+_NUM_CLASS[48:58] = 0
+_NUM_CLASS[[43, 45]] = 1
+_NUM_CLASS[46] = 2
+_NUM_CLASS[[69, 101]] = 3
+_NUM_NEXT = np.array([[2, 1, 8, 8, 8], [2, 8, 8, 8, 8], [2, 8, 3, 5, 8],
+                      [4, 8, 8, 8, 8], [4, 8, 8, 5, 8], [7, 6, 8, 8, 8],
+                      [7, 8, 8, 8, 8], [7, 8, 8, 8, 8], [8, 8, 8, 8, 8]], np.int8)
+_DECIMAL_END = (2, 4, 7)     # digits, fraction, exponent digits
+
+
+class _Declined(Exception):
+    """The bulk scanner does not parse this input; the per-record parser will."""
+
+
+def _read_once(source) -> tuple[bytes, object]:
+    """The source's bytes, read once, and a source that gives the per-record
+    parser the text the original source would have given it."""
+    if isinstance(source, (str, Path)):
+        data = Path(source).read_bytes()
+        return data, io.BytesIO(data)   # decoded with universal newlines, as open() does
+    if isinstance(source, bytes):
+        return source, source
+    if isinstance(source, io.TextIOBase):
+        text = source.read()
+        return text.encode("utf-8", "surrogatepass"), io.StringIO(text)
+    data = source.read()
+    return data, io.BytesIO(data)
+
+
+@dataclass
+class _Block:
+    """The data lines of one block: the token spans, and per line the index
+    of its first token and its field count."""
+
+    buf: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    head: np.ndarray
+    count: np.ndarray
+
+    def field(self, k: int, lines=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        token = self.head[lines] + k
+        return self.starts[token], self.ends[token]
+
+
+def _blocks(data: bytes, least: int, most: int):
+    """Yield the data lines of ``data`` block by block.
+
+    Raises _Declined on a byte the scanner does not define or on a data line
+    with fewer than ``least`` or more than ``most`` fields. Lines whose
+    first field starts with '#' are comments.
+    """
+    pos = 0
+    while pos < len(data):
+        end = len(data)
+        if pos + _BLOCK_BYTES < end:
+            end = data.rfind(b"\n", pos, pos + _BLOCK_BYTES) + 1
+            if end == 0:    # a line longer than a block
+                end = data.find(b"\n", pos + _BLOCK_BYTES) + 1 or len(data)
+        buf = np.frombuffer(data, np.uint8, end - pos, pos)
+        pos = end
+        if not _SCANNED[buf].all():
+            raise _Declined
+        after_cr = np.flatnonzero(buf == 13) + 1
+        if len(after_cr) and (after_cr[-1] == len(buf) or (buf[after_cr] != 10).any()):
+            raise _Declined
+        flips = np.flatnonzero(np.diff(_SPACE[buf], prepend=True, append=True))
+        starts, ends = flips[::2], flips[1::2]
+        # a line's first token is token 0 or the first one after a newline
+        is_head = np.zeros(len(starts) + 1, bool)
+        is_head[0] = True
+        is_head[np.searchsorted(starts, np.flatnonzero(buf == 10))] = True
+        head = np.flatnonzero(is_head[:-1])
+        count = np.diff(head, append=len(starts))
+        data_line = buf[starts[head]] != 35
+        head, count = head[data_line], count[data_line]
+        if ((count < least) | (count > most)).any():
+            raise _Declined
+        yield _Block(buf, starts, ends, head, count)
+
+
+def _padded(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
+    """Tokens as a bytes array of ``width``, zero-padded."""
+    mat = np.empty((len(starts), width), np.uint8)
+    for j in range(width):
+        mat[:, j] = buf[np.minimum(starts + j, len(buf) - 1)]
+    mat[np.arange(width) >= (ends - starts)[:, None]] = 0
+    return mat.view(f"S{width}").ravel()
+
+
+def _name_ids(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, resolve) -> np.ndarray:
+    """Id of each name token.
+
+    ``resolve`` takes a list of distinct names in first-seen order and
+    returns their ids; the tokens go to it in batches of at most
+    ``_NAME_BYTES`` padded bytes, which one np.unique maps.
+    """
+    out = np.empty(len(starts), np.int64)
+    width = max(8, int((ends - starts).max(initial=0)))
+    step = max(1, _NAME_BYTES // width)
+    for lo in range(0, len(starts), step):
+        keys = _padded(buf, starts[lo:lo + step], ends[lo:lo + step], width)
+        uniq, first, inverse = np.unique(keys.view(np.uint64) if width == 8 else keys,
+                                         return_index=True, return_inverse=True)
+        seen = np.argsort(first)
+        ids = np.empty(len(uniq), np.int64)
+        ids[seen] = resolve(uniq[seen].view(f"S{width}").astype(str).tolist())
+        out[lo:lo + step] = ids[inverse]
+    return out
+
+
+def _integers(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Tokens of the form [+-]digits, at most 18 bytes, as int64."""
+    width = int((ends - starts).max(initial=0))
+    if width > 18:
+        raise _Declined
+    sign = buf[starts]
+    first_digit = starts + ((sign == 43) | (sign == 45))
+    bad = first_digit >= ends
+    value = np.zeros(len(starts), np.int64)
+    for j in range(width, 0, -1):   # right-aligned: byte ends - j
+        pos = ends - j
+        digit = buf[np.maximum(pos, 0)].astype(np.int64) - 48
+        digit[pos < first_digit] = 0
+        bad |= (digit < 0) | (digit > 9)
+        value = value * 10 + digit
+    if bad.any():
+        raise _Declined
+    return np.where(sign == 45, -value, value)
+
+
+def _decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Tokens of the form [+-]digits[.digits][(e|E)[+-]digits], at most
+    ``_NUMBER_BYTES`` long, as float64; the cast rounds as float() does."""
+    length = ends - starts
+    if (length > _NUMBER_BYTES).any():
+        raise _Declined
+    state = np.zeros(len(starts), np.int8)
+    for j in range(int(length.max(initial=0))):
+        live = np.flatnonzero(length > j)
+        state[live] = _NUM_NEXT[state[live], _NUM_CLASS[buf[starts[live] + j]]]
+    if not np.isin(state, _DECIMAL_END).all():
+        raise _Declined
+    return _padded(buf, starts, ends, max(1, int(length.max(initial=0)))).astype(np.float64)
+
+
+def _optional_decimals(b: _Block, k: int, default: float = 1.0) -> np.ndarray:
+    """Field k of each data line as float64, ``default`` where it is absent."""
+    out = np.full(len(b.head), default)
+    has = np.flatnonzero(b.count > k)
+    out[has] = _decimals(b.buf, *b.field(k, has))
+    return out
+
+
+def _positive_finite(x: np.ndarray) -> None:
+    if not ((x > 0.0) & (x < math.inf)).all():
+        raise _Declined
+
+
+def _sum_runs(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Sum of each run x[s:s + m], added left to right as repeated += adds."""
+    total = x[starts]
+    live = np.flatnonzero(sizes > 1)
+    k = 1
+    while len(live) > 8:
+        total[live] += x[starts[live] + k]
+        k += 1
+        live = live[sizes[live] > k]
+    for r in live.tolist():     # a few long runs: accumulate adds left to right too
+        rest = x[starts[r] + k:starts[r] + sizes[r]]
+        total[r] = np.add.accumulate(np.concatenate(([total[r]], rest)))[-1]
+    return total
+
+
 def read_records(source, kind: str, layout: str | None = None, sep: str | None = None):
     """Yield (lineno, fields) for each line of a text input that holds data.
 
@@ -241,6 +439,58 @@ def load_edge_list(source) -> AttributedGraph:
     self-loop lines would be left without neighbours, and raises
     GraphFormatError naming the first such line.
     """
+    data, again = _read_once(source)
+    try:
+        g = _scan_edge_list(data)
+    except _Declined:
+        return _load_edge_records(again)
+    if g.dropped_self_loops:
+        logger.warning("dropped %d self-loop(s) while loading edge list", g.dropped_self_loops)
+    return g
+
+
+def _scan_edge_list(data: bytes) -> AttributedGraph:
+    """load_edge_list by the bulk scanner; raises _Declined on any fault."""
+    ids: dict[str, int] = {}
+
+    def first_seen(names):
+        return [ids.setdefault(name, len(ids)) for name in names]
+
+    ends, weights = [np.empty((0, 2), np.int64)], [np.empty(0)]
+    for b in _blocks(data, 2, 3):
+        token = (b.head[:, None] + (0, 1)).ravel()      # src, dst in file order
+        ends.append(_name_ids(b.buf, b.starts[token], b.ends[token], first_seen).reshape(-1, 2))
+        weights.append(_optional_decimals(b, 2))
+    uv, w = np.concatenate(ends), np.concatenate(weights)
+    _positive_finite(w)
+    n = len(ids)
+    loop = uv[:, 0] == uv[:, 1]
+    key = uv.min(axis=1) * n + uv.max(axis=1)
+    order = np.flatnonzero(~loop)
+    order = order[np.argsort(key[order], kind="stable")]    # ties stay in file order
+    key = key[order]
+    runs = np.flatnonzero(np.diff(key, prepend=-1))
+    if not len(runs):
+        raise _Declined
+    wgt = _sum_runs(w[order], runs, np.diff(runs, append=len(key)))
+    src, dst = np.divmod(key[runs], n)
+    linked = np.zeros(n, bool)
+    linked[src] = linked[dst] = True
+    if not linked[uv[loop, 0]].all():
+        raise _Declined
+    return AttributedGraph(
+        n_nodes=n,
+        edge_src=src.astype(np.int32),
+        edge_dst=dst.astype(np.int32),
+        edge_weight=wgt,
+        node_names=list(ids),
+        dropped_self_loops=int(loop.sum()),
+        merged_duplicate_edges=len(key) - len(runs),
+    )
+
+
+def _load_edge_records(source) -> AttributedGraph:
+    """load_edge_list by the per-record parser, which names a bad line."""
     ids: dict[str, int] = {}
     merged: dict[tuple[int, int], float] = {}
     loop_line: dict[int, int] = {}     # node -> first self-loop line
@@ -296,6 +546,18 @@ def load_attributes(source, g: AttributedGraph, fmt: str = "sparse", n_attrs: in
     """
     if fmt not in ("sparse", "dense"):
         raise ValueError(f"unknown attribute format {fmt!r}")
+    if fmt == "sparse":
+        data, source = _read_once(source)
+        try:
+            g.n_attrs, g.attr_node, g.attr_id, g.attr_value = _scan_sparse_attributes(data, g, n_attrs)
+            return g
+        except _Declined:
+            pass
+    return _load_attribute_records(source, g, fmt, n_attrs)
+
+
+def _load_attribute_records(source, g: AttributedGraph, fmt: str, n_attrs: int | None) -> AttributedGraph:
+    """load_attributes by the per-record parsers, which name a bad line."""
     nodes, attrs, values, lines = array("i"), array("i"), array("d"), array("q")
     if fmt == "sparse":
         name_to_id = g.name_to_id()
@@ -334,6 +596,49 @@ def load_attributes(source, g: AttributedGraph, fmt: str = "sparse", n_attrs: in
     return g
 
 
+def _known_nodes(g: AttributedGraph):
+    """A resolve function for _name_ids that maps names to g's node ids."""
+    lookup = g.name_to_id()
+
+    def known(names):
+        ids = [lookup.get(name, -1) for name in names]
+        if -1 in ids:
+            raise _Declined
+        return ids
+    return known
+
+
+def _scan_sparse_attributes(data: bytes, g: AttributedGraph, n_attrs: int | None):
+    """(n_attrs, nodes, attrs, values) of a sparse attribute file by the bulk
+    scanner, sorted by (node, attr); raises _Declined on any fault."""
+    known = _known_nodes(g)
+    bound = 1 << 31 if n_attrs is None else min(n_attrs, 1 << 31)
+    size = data.count(b"\n") + 1    # at least the number of data lines
+    nodes, attrs, values = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)
+    filled = 0
+    for b in _blocks(data, 2, 3):
+        rows = slice(filled, filled + len(b.head))
+        nodes[rows] = _name_ids(b.buf, *b.field(0), known)
+        a = _integers(b.buf, *b.field(1))
+        if ((a < 0) | (a >= bound)).any():
+            raise _Declined
+        attrs[rows] = a
+        values[rows] = _optional_decimals(b, 2)
+        filled = rows.stop
+    nodes, attrs, values = nodes[:filled], attrs[:filled], values[:filled]
+    _positive_finite(values)
+    key = nodes.astype(np.int64)
+    key <<= 31
+    key |= attrs
+    order = np.argsort(key)
+    del key
+    nodes, attrs = nodes[order], attrs[order]
+    if ((nodes[1:] == nodes[:-1]) & (attrs[1:] == attrs[:-1])).any():
+        raise _Declined
+    m = n_attrs if n_attrs is not None else int(attrs.max(initial=-1)) + 1
+    return int(m), nodes, attrs, values[order]
+
+
 def _reject_duplicates(g: AttributedGraph, nodes, attrs, lines) -> None:
     """Raise for the (node, attr) pair repeated earliest in the file.
 
@@ -355,6 +660,39 @@ def load_labels(source, g: AttributedGraph) -> AttributedGraph:
     Class tokens are mapped to dense integers in sorted token order, so the
     mapping does not depend on line order.
     """
+    data, again = _read_once(source)
+    try:
+        g.labels, g.class_names = _scan_labels(data, g)
+    except _Declined:
+        _load_label_records(again, g)
+    return g
+
+
+def _scan_labels(data: bytes, g: AttributedGraph) -> tuple[dict[int, int], list[str]]:
+    """(labels, class_names) by the bulk scanner; raises _Declined on any fault."""
+    known = _known_nodes(g)
+    classes: dict[str, int] = {}
+
+    def first_seen(names):
+        return [classes.setdefault(name, len(classes)) for name in names]
+
+    nodes, cls = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for b in _blocks(data, 2, 2):
+        nodes.append(_name_ids(b.buf, *b.field(0), known))
+        cls.append(_name_ids(b.buf, *b.field(1), first_seen))
+    nodes, cls = np.concatenate(nodes), np.concatenate(cls)
+    _, first, inverse = np.unique(nodes, return_index=True, return_inverse=True)
+    if (cls != cls[first][inverse]).any():
+        raise _Declined
+    class_names = sorted(classes)
+    rank = np.empty(len(classes), np.int64)
+    rank[[classes[c] for c in class_names]] = np.arange(len(classes))
+    first.sort()    # nodes in first-seen order, as the per-record dict keeps them
+    return dict(zip(nodes[first].tolist(), rank[cls[first]].tolist())), class_names
+
+
+def _load_label_records(source, g: AttributedGraph) -> None:
+    """load_labels by the per-record parser, which names a bad line."""
     raw_labels: dict[int, str] = {}
     name_to_id = g.name_to_id()
     for lineno, name, cls in parse_labels(source):
@@ -366,7 +704,6 @@ def load_labels(source, g: AttributedGraph) -> AttributedGraph:
     class_index = {c: i for i, c in enumerate(class_names)}
     g.labels = {v: class_index[c] for v, c in raw_labels.items()}
     g.class_names = class_names
-    return g
 
 
 @dataclass
@@ -497,25 +834,30 @@ def build_augmented(g: AttributedGraph, attr_weight: str = "value",
         raise ValueError(f"unknown attr_weight rule {attr_weight!r}")
 
     n_total = n + m_used
-    # symmetrize, then CSR with neighbor lists sorted by unified id; each
-    # array is permuted in turn, so one copy at a time is alive beside it
+    # symmetrize, then CSR with neighbor lists sorted by unified id: one
+    # stable argsort of the key src·n_total + dst, built in all_src's buffer;
+    # neighbors are int32 from the start, and each array is permuted in
+    # turn, so one copy at a time is alive beside it
     ends = [g.edge_src, g.attr_node, g.edge_dst, attr_unified]
     all_src = np.concatenate(ends, dtype=np.int64)
-    all_dst = np.concatenate(ends[2:] + ends[:2], dtype=np.int64)
+    all_dst = np.concatenate(ends[2:] + ends[:2], dtype=np.int32)
     all_wgt = np.concatenate([g.edge_weight, vw, g.edge_weight, vw])
-    order = np.lexsort((all_dst, all_src))
-    all_src = all_src[order]
+    indptr = np.zeros(n_total + 1, np.int64)
+    np.cumsum(np.bincount(all_src, minlength=n_total), out=indptr[1:])
+    key = all_src
+    key *= n_total
+    key += all_dst
+    order = np.argsort(key, kind="stable")
+    del key, all_src
     all_dst = all_dst[order]
     all_wgt = all_wgt[order]
-    indptr = np.zeros(n_total + 1, np.int64)
-    np.add.at(indptr, all_src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    del order
 
     return AugmentedGraph(
         n_raw=n,
         n_attr_nodes=m_used,
         indptr=indptr,
-        neighbors=all_dst.astype(np.int32),
+        neighbors=all_dst,
         weights=all_wgt,
         n_raw_edges=g.n_edges,
         n_virtual_edges=g.nnz_attributes,

@@ -517,9 +517,10 @@ class Corpus:
 
     def save(self, path) -> None:
         """One walk per line, space-separated tokens, attribute nodes a<attrid>."""
+        tokens = [str(v) for v in range(self.n_raw)] + [f"a{a}" for a in self.attr_ids.tolist()]
         with open(path, "w", encoding="utf-8") as f:
             for row in self.walks:
-                f.write(" ".join(self.token(int(v)) for v in row) + "\n")
+                f.write(" ".join(map(tokens.__getitem__, row.tolist())) + "\n")
 
 
 def load_corpus_tokens(path) -> tuple[np.ndarray, list[str]]:

@@ -2,8 +2,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fane import EmbeddingMatrix, GraphFormatError, load_attributes, load_edge_list
+from fane import EmbeddingMatrix, GraphFormatError, graph, load_attributes, load_edge_list
 from fane.cli import main
 from fane.graph import read_records
 
@@ -100,3 +102,178 @@ def test_binary_embedding_errors_name_file_line(tmp_path, capsys, data, message)
                "--out", str(tmp_path / "report.csv")])
     assert rc == 2
     assert f"embedding file {message}" in capsys.readouterr().err
+
+
+# The bulk scanner against the per-record parser ---------------------------
+
+NAMES = ["0", "1", "2", "17", "x", "n#3", "a_b", "node-9", "+4", "1e3"]
+SPACES = st.sampled_from([" ", "\t", "  ", " \t"])
+ENDS = st.sampled_from(["\n", "\r\n"])
+
+
+def _decimal(x: float):
+    """Spellings of a positive float the scanner parses: its repr, short
+    decimals, exponents and signs."""
+    return st.sampled_from([repr(x), f"{x:.3f}", f"{x:.1e}", f"{x:.6E}", f"+{x!r}", f"{x:.17g}"])
+
+
+def _file(lines):
+    """A file of data lines with comments, blank lines, mixed separators and
+    line endings; bytes encoded from the drawn text."""
+    def render(parts):
+        body, lead, seps, trail, end, extra = parts
+        line = lead + "".join(f + s for f, s in zip(body, seps + [""])) + trail
+        return extra + line + end
+    line = st.tuples(lines, st.sampled_from(["", " ", "\t"]), st.lists(SPACES, min_size=2, max_size=2),
+                     st.sampled_from(["", " ", "\t"]), ENDS,
+                     st.sampled_from(["", "", "", "# a comment\n", "\n", "  \t\n", "#\n"]))
+    return st.lists(line.map(render), max_size=40).map(lambda rows: "".join(rows).encode())
+
+
+_weights = st.floats(1e-6, 1e6).flatmap(_decimal)
+EDGE_FILES = _file(st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES)).flatmap(
+    lambda uv: st.one_of(st.just(list(uv)), _weights.map(lambda w: [*uv, w]))))
+ATTR_FILES = _file(st.tuples(st.sampled_from(NAMES), st.integers(0, 40).flatmap(
+    lambda a: st.sampled_from([str(a), f"+{a}", f"0{a}"]))).flatmap(
+    lambda na: st.one_of(st.just(list(na)), _weights.map(lambda x: [*na, x]))))
+LABEL_FILES = _file(st.tuples(st.sampled_from(NAMES), st.sampled_from(["c", "b", "10", "2", "a#"])).map(list))
+
+
+def _state(g: graph.AttributedGraph):
+    """Every field of a graph, arrays as (dtype, bytes)."""
+    return {k: (v.dtype.str, v.tobytes()) if isinstance(v, np.ndarray) else
+            list(v.items()) if isinstance(v, dict) else v for k, v in vars(g).items()}
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except GraphFormatError as e:
+        return "error", str(e)
+
+
+def _base_graph():
+    return load_edge_list(("".join(f"{a} {b}\n" for a, b in zip(NAMES, NAMES[1:]))).encode())
+
+
+@given(EDGE_FILES)
+@settings(max_examples=150, deadline=None)
+def test_edge_scanner_matches_records(data):
+    kind, want = _outcome(graph._load_edge_records, data)
+    if kind == "ok":
+        assert _state(graph._scan_edge_list(data)) == _state(want)
+    else:
+        with pytest.raises(graph._Declined):
+            graph._scan_edge_list(data)
+    assert _outcome(load_edge_list, data)[0] == kind
+
+
+@given(ATTR_FILES)
+@settings(max_examples=150, deadline=None)
+def test_attribute_scanner_matches_records(data):
+    kind, want = _outcome(graph._load_attribute_records, data, _base_graph(), "sparse", None)
+    if kind == "ok":
+        g = _base_graph()
+        g.n_attrs, g.attr_node, g.attr_id, g.attr_value = graph._scan_sparse_attributes(data, g, None)
+        assert _state(g) == _state(want)
+    else:
+        with pytest.raises(graph._Declined):
+            graph._scan_sparse_attributes(data, _base_graph(), None)
+    assert _outcome(load_attributes, data, _base_graph())[0] == kind
+
+
+@given(LABEL_FILES)
+@settings(max_examples=100, deadline=None)
+def test_label_scanner_matches_records(data):
+    want = _base_graph()
+    kind, message = _outcome(graph._load_label_records, data, want)
+    if kind == "ok":
+        g = _base_graph()
+        g.labels, g.class_names = graph._scan_labels(data, g)
+        assert _state(g) == _state(want)
+    else:
+        with pytest.raises(graph._Declined):
+            graph._scan_labels(data, _base_graph())
+
+
+CORRUPTIONS = ["x", "-1", "0", "nan", "inf", "1e999", "", "a b c d", "\u0663", "1_0x"]
+
+
+def _same_result(load, per_record, data, *graph_args):
+    """load(data) and per_record(data) both raise the same GraphFormatError
+    text or both give the same graph."""
+    got = _outcome(load, data, *[a() for a in graph_args])
+    want = _outcome(per_record, data, *[a() for a in graph_args])
+    assert got[0] == want[0]
+    assert got[1] == want[1] if got[0] == "error" else _state(got[1]) == _state(want[1])
+    return got
+
+
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30), st.floats(0.1, 9.0)),
+                min_size=2, max_size=30), st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_corrupted_line_raises_the_per_record_message(rows, draw):
+    k = draw.draw(st.integers(0, len(rows) - 1))
+    bad = draw.draw(st.sampled_from(CORRUPTIONS))
+    edges = [f"{u} {v + 31} {w!r}" for u, v, w in rows]
+    edges[k] = f"{rows[k][0]} {rows[k][1] + 31} {bad}".strip()
+    kind, message = _same_result(load_edge_list, graph._load_edge_records, ("\n".join(edges) + "\n").encode())
+    assert kind == "ok" or f"line {k + 1}:" in message
+    attrs = [f"{NAMES[u % len(NAMES)]} {v} {w!r}" for u, v, w in rows]
+    attrs[k] = f"{NAMES[rows[k][0] % len(NAMES)]} {bad} {rows[k][2]!r}"
+    _same_result(lambda d, g: load_attributes(d, g),
+                 lambda d, g: graph._load_attribute_records(d, g, "sparse", None),
+                 ("\n".join(attrs) + "\n").encode(), _base_graph)
+
+
+def test_scanner_blocks_split_on_newlines(monkeypatch):
+    # tiny blocks, and a line longer than a block
+    text = "# head\n" + "".join(f"{i} {i + 1} {0.5 + i}\n" for i in range(40)) + "7 long_name_" + "z" * 50 + " 2\n"
+    want = graph._load_edge_records(text.encode())
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", 16)
+    assert _state(graph._scan_edge_list(text.encode())) == _state(want)
+
+
+@pytest.mark.parametrize("source", ["path", "bytes", "text", "binary"])
+def test_bytes_the_scanner_declines_load_as_per_record(tmp_path, source):
+    def load(fn, data, *args):
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        src = {"path": path, "bytes": data, "text": io.StringIO(data.decode()),
+               "binary": io.BytesIO(data)}[source]
+        return fn(src, *args)
+    # a bare CR ends a line when the text is read with universal newlines
+    if source in ("path", "binary"):
+        assert load(load_edge_list, b"0 1\r1 2\n").n_edges == 2
+    else:
+        with pytest.raises(GraphFormatError, match=r"edge list line 1: expected 'src dst \[weight\]'"):
+            load(load_edge_list, b"0 1\r1 2\n")
+    # str.split() splits on U+00A0, so the name is two fields
+    g = load(load_edge_list, "x\u00a0y 2\n".encode())
+    assert g.node_names == ["x", "y"] and g.edge_weight.tolist() == [2.0]
+    # int() reads 1_0 as 10, and float() 2_5 as 25
+    g = load(load_attributes, b"0 1_0 2_5\n", load_edge_list(b"0 1\n"))
+    assert g.attr_id.tolist() == [10] and g.attr_value.tolist() == [25.0] and g.n_attrs == 11
+
+
+def test_scanner_peak_memory_at_most_per_record(tmp_path):
+    import tracemalloc
+    rng = np.random.default_rng(5)
+    g = load_edge_list("".join(f"{i} {i + 1}\n" for i in range(999)).encode())
+    attrs = np.concatenate([rng.choice(2000, 200, replace=False) for _ in range(1000)])
+    path = tmp_path / "attrs.txt"
+    path.write_text("".join(f"{v} {a}\n" for v, a in zip(np.repeat(np.arange(1000), 200).tolist(),
+                                                        attrs.tolist())))
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    scanned = peak(load_attributes, path, g)
+    state = _state(g)
+    per_record = peak(graph._load_attribute_records, path, g, "sparse", None)
+    assert _state(g) == state
+    assert scanned <= per_record, (scanned, per_record)

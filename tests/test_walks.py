@@ -517,3 +517,17 @@ def test_walk_params_validation():
         WalkParams(strategy="bogus")
     with pytest.raises(ValueError):
         WalkParams(beta_graph="nope")
+
+
+def test_corpus_save_bytes_match_per_token_writer(five_node_graph, data_root, tmp_path):
+    from oracles import corpus_writer
+    from fane.graph import AttributedGraph
+    g = AttributedGraph.load_dir(data_root / "cora")
+    cora = build_augmented(g)
+    for ag, params in [(five_node_graph, WalkParams(walk_length=6, walks_per_node=3, seed=3)),
+                       (cora, WalkParams(walk_length=10, walks_per_node=1, seed=5))]:
+        corpus = generate_corpus(ag, preprocess_transitions(ag, params))
+        assert corpus.walks.max() >= ag.n_raw    # attribute tokens are rendered too
+        corpus.save(tmp_path / "shipped.txt")
+        corpus_writer.save(corpus, tmp_path / "oracle.txt")
+        assert (tmp_path / "shipped.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
