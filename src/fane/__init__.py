@@ -6,8 +6,8 @@ from .graph import (AttributedGraph, AugmentedGraph, GraphFormatError,
                     build_augmented, load_attributes, load_edge_list,
                     load_labels, stats)
 from .walks import (SF, STF, TF, Corpus, TransitionModel, WalkParams,
-                    first_step_distribution, generate_corpus, generate_walk,
-                    preprocess_transitions, transition_distribution)
+                    generate_corpus, generate_walk, preprocess_transitions,
+                    transition_distribution)
 from .sgns import EmbeddingMatrix, TrainParams, build_vocabulary, train
 
 __all__ = [
@@ -15,8 +15,8 @@ __all__ = [
     "build_augmented", "load_attributes", "load_edge_list", "load_labels",
     "stats",
     "SF", "TF", "STF", "Corpus", "TransitionModel", "WalkParams",
-    "first_step_distribution", "generate_corpus", "generate_walk",
-    "preprocess_transitions", "transition_distribution",
+    "generate_corpus", "generate_walk", "preprocess_transitions",
+    "transition_distribution",
     "EmbeddingMatrix", "TrainParams", "build_vocabulary", "train",
     "__version__",
 ]

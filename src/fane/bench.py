@@ -26,6 +26,20 @@ logger = logging.getLogger(__name__)
 STAGES = ("construct", "preprocess", "walk", "train")
 
 
+def _decode_pairs(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j), i < j, of each triangular pair code."""
+    i = (n - 2 - np.floor((np.sqrt((2 * n - 1) ** 2 - 8 * (codes + 1) + 8) - 1) / 2)).astype(np.int64)
+    # guard against float rounding at block boundaries
+    first = i * (2 * n - i - 1) // 2
+    too_big = first > codes
+    i[too_big] -= 1
+    first = i * (2 * n - i - 1) // 2
+    too_small = codes >= first + (n - 1 - i)
+    i[too_small] += 1
+    first = i * (2 * n - i - 1) // 2
+    return i, codes - first + i + 1
+
+
 def erdos_renyi(n: int, mean_degree: float, seed: int) -> AttributedGraph:
     """G(n, p) with p = mean_degree/(n-1), sampled reproducibly.
 
@@ -46,44 +60,29 @@ def erdos_renyi(n: int, mean_degree: float, seed: int) -> AttributedGraph:
         want = m - len(codes)
         draw = rng.integers(0, n_pairs, size=int(want * 1.1) + 16)
         codes = np.unique(np.concatenate([codes, draw]))
-    codes = rng.permutation(codes)[:m]
+    codes = np.sort(rng.permutation(codes)[:m])     # sorted codes are pairs in (i, j) order
+    i, j = _decode_pairs(codes, n)
 
-    # decode triangular index: pair (i, j), i < j
-    i = (n - 2 - np.floor((np.sqrt((2 * n - 1) ** 2 - 8 * (codes + 1) + 8) - 1) / 2)).astype(np.int64)
-    # guard against float rounding at block boundaries
-    first = i * (2 * n - i - 1) // 2
-    too_big = first > codes
-    i[too_big] -= 1
-    first = i * (2 * n - i - 1) // 2
-    too_small = codes >= first + (n - 1 - i)
-    i[too_small] += 1
-    first = i * (2 * n - i - 1) // 2
-    j = (codes - first + i + 1).astype(np.int64)
-
-    edge_set = set(map(tuple, np.stack([i, j], axis=1).tolist()))
-    deg = np.zeros(n, np.int64)
-    for a, b in edge_set:
-        deg[a] += 1
-        deg[b] += 1
-    for v in np.nonzero(deg == 0)[0]:
-        v = int(v)
+    # an isolated v has no drawn edge, so only an earlier repair can clash
+    deg = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    added: set[int] = set()
+    for v in np.flatnonzero(deg == 0).tolist():
         while True:
             u = int(rng.integers(n))
-            key = (u, v) if u < v else (v, u)
-            if u != v and key not in edge_set:
-                edge_set.add(key)
-                deg[u] += 1
-                deg[v] += 1
+            a, b = min(u, v), max(u, v)
+            key = a * (2 * n - a - 1) // 2 + b - a - 1
+            if u != v and key not in added:
+                added.add(key)
                 break
+    if added:
+        codes = np.sort(np.concatenate([codes, np.fromiter(added, np.int64, len(added))]))
+        i, j = _decode_pairs(codes, n)
 
-    pairs = sorted(edge_set)
-    src = np.fromiter((a for a, _ in pairs), np.int32, len(pairs))
-    dst = np.fromiter((b for _, b in pairs), np.int32, len(pairs))
     return AttributedGraph(
         n_nodes=n,
-        edge_src=src,
-        edge_dst=dst,
-        edge_weight=np.ones(len(pairs)),
+        edge_src=i.astype(np.int32),
+        edge_dst=j.astype(np.int32),
+        edge_weight=np.ones(len(codes)),
         node_names=[str(v) for v in range(n)],
     )
 

@@ -189,10 +189,11 @@ def _planted_attributes(spec: DatasetSpec, labels: np.ndarray, sub: np.ndarray,
             pairs.add((v, a))
     used = {a for _, a in pairs}
     _fill_unused(spec, labels, bounds, n_class_words, used, pairs, rng)
-    return pairs, mix
+    return pairs
 
 
 def _fill_unused(spec, labels, bounds, n_class_words, used, pairs, rng):
+    """Add to ``pairs`` one random node for each attribute that no node drew."""
     for a in range(spec.n_attrs):
         if a in used:
             continue
@@ -203,7 +204,6 @@ def _fill_unused(spec, labels, bounds, n_class_words, used, pairs, rng):
         else:
             v = int(rng.integers(spec.n_nodes))
         pairs.add((v, a))
-    return pairs
 
 
 def synthesize(name: str, out_dir) -> Path:
@@ -220,14 +220,12 @@ def synthesize(name: str, out_dir) -> Path:
     labels = labels[rng.permutation(spec.n_nodes)]
     sub = _subcommunity_of(spec, labels, rng)
 
+    edges = _planted_edges(spec, labels, sub, rng)
     if name == "adjnoun":
         # two word classes; the attribute *is* the class
-        edges = _planted_edges(spec, labels, sub, rng)
         pairs = {(v, int(labels[v])) for v in range(spec.n_nodes)}
-        mix = np.zeros(spec.n_nodes)
     else:
-        edges = _planted_edges(spec, labels, sub, rng)
-        pairs, mix = _planted_attributes(spec, labels, sub, rng)
+        pairs = _planted_attributes(spec, labels, sub, rng)
 
     with open(out / "edges.txt", "w", encoding="utf-8") as f:
         for u, v in sorted(edges):

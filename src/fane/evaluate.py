@@ -211,12 +211,12 @@ _CSV_COLUMNS = ("ratio", "rep", "C", "d", "micro_f1", "macro_f1")
 
 @dataclass
 class ClassificationReport:
-    """Micro-/Macro-F1 per (ratio, rep) split. C, seed and repetitions are the
-    settings that made the rows; None in `save_sweep`, whose rows span several C."""
+    """Micro-/Macro-F1 per (ratio, rep) split; C, seed and repetitions are the
+    settings that made the rows."""
 
-    C: float | None
-    seed: int | None
-    repetitions: int | None
+    C: float
+    seed: int
+    repetitions: int
     rows: list[dict] = field(default_factory=list)   # keyed by _CSV_COLUMNS
 
     def ratio_summary(self) -> list[dict]:
@@ -245,7 +245,7 @@ class ClassificationReport:
 
 
 def evaluate_classification(features, labels, ratios, C: float, repetitions: int = 10,
-                            seed: int = 1, iters: int | None = None) -> ClassificationReport:
+                            seed: int = 1) -> ClassificationReport:
     """Train-ratio sweep on fixed features: the one loop that fits a `LinearSVM`.
 
     Each split of each ratio fits the train rows and scores the test rows; each
@@ -260,7 +260,7 @@ def evaluate_classification(features, labels, ratios, C: float, repetitions: int
             raise ValueError(f"train ratio {ratio}: every class has one member, so all "
                              f"{len(labels)} rows go to train and no row is left to test")
         for rep, (tr, te) in enumerate(split(labels, spec)):
-            clf = LinearSVM(C=C, iters=iters).fit(features[tr], labels[tr])
+            clf = LinearSVM(C=C).fit(features[tr], labels[tr])
             pred, truth = clf.predict(features[te]), labels[te]
             report.rows.append({"ratio": ratio, "rep": rep, "C": C, "d": features.shape[1],
                                 "micro_f1": micro_f1(pred, truth),
@@ -271,6 +271,8 @@ def evaluate_classification(features, labels, ratios, C: float, repetitions: int
 # ---------------------------------------------------------------- k-means
 
 _BLOCK_ELEMENTS = 1 << 18   # float64 entries of one (rows, points, d) difference block
+_KMEANS_MAX_ITER = 300
+_KMEANS_TOL = 1e-6          # relative inertia change that ends the Lloyd iterations
 
 
 def _row_blocks(n: int, per_row: int):
@@ -281,12 +283,13 @@ def _row_blocks(n: int, per_row: int):
         yield slice(lo, min(lo + step, n))
 
 
-def kmeans(X, k: int, seed: int = 1, max_iter: int = 300, tol: float = 1e-6):
+def kmeans(X, k: int, seed: int = 1):
     """Lloyd iterations with k-means++ seeding.
 
-    Returns (assignment, centers, inertia_history); stops after max_iter or
-    when the relative inertia change drops below tol. Empty clusters are
-    re-seeded with the point farthest from its center.
+    Returns (assignment, centers, inertia_history); stops after
+    `_KMEANS_MAX_ITER` iterations or when the relative inertia change drops
+    below `_KMEANS_TOL`. Empty clusters are re-seeded with the point farthest
+    from its center.
     """
     X = np.asarray(X, np.float64)
     n = len(X)
@@ -310,7 +313,7 @@ def kmeans(X, k: int, seed: int = 1, max_iter: int = 300, tol: float = 1e-6):
     history = []
     assign = np.zeros(n, np.int64)
     dist = np.empty((n, k))
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         for rows in _row_blocks(n, k * X.shape[1]):
             dist[rows] = ((X[rows, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assign = np.argmin(dist, axis=1)
@@ -326,7 +329,7 @@ def kmeans(X, k: int, seed: int = 1, max_iter: int = 300, tol: float = 1e-6):
                 new_centers[j] = X[far]
         if len(history) >= 2:
             prev, curr = history[-2], history[-1]
-            if prev > 0 and (prev - curr) / prev < tol:
+            if prev > 0 and (prev - curr) / prev < _KMEANS_TOL:
                 centers = new_centers
                 break
         centers = new_centers
@@ -410,14 +413,14 @@ def scatter_csv(path, ids, coords, classes) -> None:
             w.writerow([i, repr(float(x)), repr(float(y)), c])
 
 
-def scatter_svg(path, coords, classes, size: int = 640, radius: float = 3.0) -> None:
-    """Standalone SVG scatter, one color per class."""
+def scatter_svg(path, coords, classes) -> None:
+    """Standalone 640-pixel-square SVG scatter, one color per class."""
     coords = np.asarray(coords, np.float64)
     classes = list(classes)
     lo = coords.min(axis=0)
     hi = coords.max(axis=0)
     span = np.where(hi - lo > 0, hi - lo, 1.0)
-    margin = 20
+    size, margin = 640, 20
     inner = size - 2 * margin
     uniq = sorted(set(classes), key=str)
     color = {c: _PALETTE[i % len(_PALETTE)] for i, c in enumerate(uniq)}
@@ -428,109 +431,10 @@ def scatter_svg(path, coords, classes, size: int = 640, radius: float = 3.0) -> 
         for (x, y), c in zip(coords, classes):
             px = margin + (x - lo[0]) / span[0] * inner
             py = size - margin - (y - lo[1]) / span[1] * inner
-            f.write(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{radius}" '
+            f.write(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3.0" '
                     f'fill="{color[c]}" fill-opacity="0.8"/>\n')
         for i, c in enumerate(uniq):
             f.write(f'<circle cx="{margin}" cy="{margin + 14 * i}" r="4" fill="{color[c]}"/>\n')
             f.write(f'<text x="{margin + 8}" y="{margin + 14 * i + 4}" '
                     f'font-size="11">{c}</text>\n')
         f.write("</svg>\n")
-
-
-def line_plot_svg(path, x_values, series: dict, title: str = "", size=(720, 480)) -> None:
-    """Minimal SVG line plot: one polyline per named series over x_values."""
-    w, h = size
-    margin = 50
-    xs = np.asarray(x_values, np.float64)
-    all_y = np.concatenate([np.asarray(v, np.float64) for v in series.values()])
-    ylo, yhi = float(all_y.min()), float(all_y.max())
-    if yhi <= ylo:
-        yhi = ylo + 1.0
-    xlo, xhi = float(xs.min()), float(xs.max())
-    if xhi <= xlo:
-        xhi = xlo + 1.0
-
-    def px(x):
-        return margin + (x - xlo) / (xhi - xlo) * (w - 2 * margin)
-
-    def py(y):
-        return h - margin - (y - ylo) / (yhi - ylo) * (h - 2 * margin)
-
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-                f'viewBox="0 0 {w} {h}">\n<rect width="{w}" height="{h}" fill="white"/>\n')
-        f.write(f'<line x1="{margin}" y1="{h - margin}" x2="{w - margin}" y2="{h - margin}" stroke="black"/>\n')
-        f.write(f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{h - margin}" stroke="black"/>\n')
-        if title:
-            f.write(f'<text x="{w / 2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>\n')
-        f.write(f'<text x="{margin}" y="{h - margin + 16}" font-size="10">{xlo:g}</text>\n')
-        f.write(f'<text x="{w - margin}" y="{h - margin + 16}" text-anchor="end" font-size="10">{xhi:g}</text>\n')
-        f.write(f'<text x="{margin - 4}" y="{h - margin}" text-anchor="end" font-size="10">{ylo:.3g}</text>\n')
-        f.write(f'<text x="{margin - 4}" y="{margin}" text-anchor="end" font-size="10">{yhi:.3g}</text>\n')
-        for i, (name, ys) in enumerate(sorted(series.items())):
-            col = _PALETTE[i % len(_PALETTE)]
-            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-            f.write(f'<polyline points="{pts}" fill="none" stroke="{col}" stroke-width="1.5"/>\n')
-            f.write(f'<text x="{w - margin + 4}" y="{margin + 14 * i}" font-size="11" '
-                    f'fill="{col}">{name}</text>\n')
-        f.write("</svg>\n")
-
-
-def run_sweep(graph, walk_params, d_grid, C_grid, ratio: float = 0.5,
-              repetitions: int = 10, seed: int = 1, window: int = 5,
-              epochs: int = 3, out_csv=None, out_matrix=None, out_svg=None):
-    """Embed once per dimension, then score every (d, C) grid cell.
-
-    ``graph`` is an AttributedGraph with labels; embeddings are cached per d
-    so C only re-runs the classifier.
-    """
-    from .graph import build_augmented
-    from .sgns import TrainParams, train
-    from .walks import generate_corpus, preprocess_transitions
-
-    ag = build_augmented(graph)
-    model = preprocess_transitions(ag, walk_params)
-    corpus = generate_corpus(ag, model)
-    labeled = sorted(ag.labels)
-    keys = [ag.node_names[v] for v in labeled]
-    labels = np.array([ag.labels[v] for v in labeled])
-    features_by_d = {}
-    for d in d_grid:
-        tp = TrainParams(dimension=d, window=window, epochs=epochs, seed=seed)
-        emb = train(corpus.walks, tp, key_fn=ag.export_key)
-        features_by_d[d] = emb.rows_for(keys).astype(np.float64)
-    rows, ds, cs, matrix = sweep_grid(features_by_d, labels, C_grid,
-                                      ratio=ratio, repetitions=repetitions, seed=seed)
-    if out_csv:
-        save_sweep(out_csv, rows, ds, cs, matrix, path_matrix=out_matrix,
-                   path_svg=out_svg)
-    return rows, ds, cs, matrix
-
-
-def sweep_grid(features_by_d: dict, labels, C_grid, ratio: float = 0.5,
-               repetitions: int = 10, seed: int = 1, iters: int | None = None):
-    """F1 over a (d, C) grid of features keyed by dimension, one
-    `evaluate_classification` call per cell. Returns (rows, ds, Cs, mean Micro-F1 matrix)."""
-    ds = sorted(features_by_d)
-    rows = []
-    matrix = np.zeros((len(ds), len(C_grid)))
-    for i, d in enumerate(ds):
-        for j, C in enumerate(C_grid):
-            report = evaluate_classification(features_by_d[d], labels, [ratio], C,
-                                             repetitions=repetitions, seed=seed, iters=iters)
-            rows += report.rows
-            matrix[i, j] = report.mean_micro(ratio)
-    return rows, ds, list(C_grid), matrix
-
-
-def save_sweep(path_csv, rows, ds, C_grid, matrix, path_matrix=None, path_svg=None):
-    ClassificationReport(C=None, seed=None, repetitions=None, rows=rows).save_csv(path_csv)
-    if path_matrix:
-        with open(path_matrix, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["d\\C"] + [str(c) for c in C_grid])
-            for d, row in zip(ds, matrix):
-                w.writerow([d] + [f"{v:.6f}" for v in row])
-    if path_svg:
-        series = {f"d={d}": matrix[i] for i, d in enumerate(ds)}
-        line_plot_svg(path_svg, C_grid, series, title="Micro-F1 by C for each d")

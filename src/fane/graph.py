@@ -44,10 +44,11 @@ def _open_text(source):
             f.detach()
 
 
-# load_edge_list, load_attributes (sparse) and load_labels read a file's
-# bytes once and parse them with numpy block by block. On a byte or number
-# the scanner does not define, or on any fault, they hand the same text to
-# the per-record parser, which gives the same graph or names the bad line.
+# load_edge_list and load_attributes (sparse) read a file's bytes once and
+# parse them with numpy block by block. On a byte or number the scanner does
+# not define, or on any fault, they hand the same text to the per-record
+# parser, which gives the same graph or names the bad line. load_labels
+# parses per record: on label files the scanner measured no faster.
 
 # Bytes per block, each ending on a newline; 256 KB keeps the scanner's peak
 # below the per-record parser's.
@@ -113,12 +114,12 @@ class _Block:
         return self.starts[token], self.ends[token]
 
 
-def _blocks(data: bytes, least: int, most: int):
+def _blocks(data: bytes):
     """Yield the data lines of ``data`` block by block.
 
     Raises _Declined on a byte the scanner does not define or on a data line
-    with fewer than ``least`` or more than ``most`` fields. Lines whose
-    first field starts with '#' are comments.
+    with other than 2 or 3 fields, the layout of both scanned formats. Lines
+    whose first field starts with '#' are comments.
     """
     pos = 0
     while pos < len(data):
@@ -144,7 +145,7 @@ def _blocks(data: bytes, least: int, most: int):
         count = np.diff(head, append=len(starts))
         data_line = buf[starts[head]] != 35
         head, count = head[data_line], count[data_line]
-        if ((count < least) | (count > most)).any():
+        if ((count < 2) | (count > 3)).any():
             raise _Declined
         yield _Block(buf, starts, ends, head, count)
 
@@ -457,7 +458,7 @@ def _scan_edge_list(data: bytes) -> AttributedGraph:
         return [ids.setdefault(name, len(ids)) for name in names]
 
     ends, weights = [np.empty((0, 2), np.int64)], [np.empty(0)]
-    for b in _blocks(data, 2, 3):
+    for b in _blocks(data):
         token = (b.head[:, None] + (0, 1)).ravel()      # src, dst in file order
         ends.append(_name_ids(b.buf, b.starts[token], b.ends[token], first_seen).reshape(-1, 2))
         weights.append(_optional_decimals(b, 2))
@@ -616,7 +617,7 @@ def _scan_sparse_attributes(data: bytes, g: AttributedGraph, n_attrs: int | None
     size = data.count(b"\n") + 1    # at least the number of data lines
     nodes, attrs, values = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)
     filled = 0
-    for b in _blocks(data, 2, 3):
+    for b in _blocks(data):
         rows = slice(filled, filled + len(b.head))
         nodes[rows] = _name_ids(b.buf, *b.field(0), known)
         a = _integers(b.buf, *b.field(1))
@@ -660,39 +661,6 @@ def load_labels(source, g: AttributedGraph) -> AttributedGraph:
     Class tokens are mapped to dense integers in sorted token order, so the
     mapping does not depend on line order.
     """
-    data, again = _read_once(source)
-    try:
-        g.labels, g.class_names = _scan_labels(data, g)
-    except _Declined:
-        _load_label_records(again, g)
-    return g
-
-
-def _scan_labels(data: bytes, g: AttributedGraph) -> tuple[dict[int, int], list[str]]:
-    """(labels, class_names) by the bulk scanner; raises _Declined on any fault."""
-    known = _known_nodes(g)
-    classes: dict[str, int] = {}
-
-    def first_seen(names):
-        return [classes.setdefault(name, len(classes)) for name in names]
-
-    nodes, cls = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for b in _blocks(data, 2, 2):
-        nodes.append(_name_ids(b.buf, *b.field(0), known))
-        cls.append(_name_ids(b.buf, *b.field(1), first_seen))
-    nodes, cls = np.concatenate(nodes), np.concatenate(cls)
-    _, first, inverse = np.unique(nodes, return_index=True, return_inverse=True)
-    if (cls != cls[first][inverse]).any():
-        raise _Declined
-    class_names = sorted(classes)
-    rank = np.empty(len(classes), np.int64)
-    rank[[classes[c] for c in class_names]] = np.arange(len(classes))
-    first.sort()    # nodes in first-seen order, as the per-record dict keeps them
-    return dict(zip(nodes[first].tolist(), rank[cls[first]].tolist())), class_names
-
-
-def _load_label_records(source, g: AttributedGraph) -> None:
-    """load_labels by the per-record parser, which names a bad line."""
     raw_labels: dict[int, str] = {}
     name_to_id = g.name_to_id()
     for lineno, name, cls in parse_labels(source):
@@ -704,6 +672,7 @@ def _load_label_records(source, g: AttributedGraph) -> None:
     class_index = {c: i for i, c in enumerate(class_names)}
     g.labels = {v: class_index[c] for v, c in raw_labels.items()}
     g.class_names = class_names
+    return g
 
 
 @dataclass

@@ -36,7 +36,6 @@ class TrainParams:
     learning_rate: float = 0.025
     min_learning_rate: float = 1e-4
     seed: int = 1
-    dynamic_window: bool = True
     subsample: float = 0.0      # 0 disables frequent-token subsampling
 
     def __post_init__(self):
@@ -246,10 +245,7 @@ def _epoch_draws(idx: np.ndarray, keep_prob, params: TrainParams, epoch: int):
     kp's dtype is the smallest that holds the window."""
     rng = np.random.default_rng((params.seed, _EPOCH_STREAM, epoch))
     kp_type = np.min_scalar_type(params.window)
-    if params.dynamic_window:
-        kp = rng.integers(1, params.window + 1, size=idx.shape, dtype=kp_type)
-    else:
-        kp = np.full(idx.shape, params.window, kp_type)
+    kp = rng.integers(1, params.window + 1, size=idx.shape, dtype=kp_type)
     if keep_prob is not None:
         idx = _compact_rows(idx, rng.random(idx.shape) < keep_prob[idx])
     return idx, kp, rng.permutation(len(idx)), rng

@@ -136,11 +136,6 @@ def _pi(g: AugmentedGraph, params: WalkParams, u: int, v: int) -> np.ndarray:
     return _scores(params, g.n_raw, x, w, u, v, g.has_edge(u, x))
 
 
-def first_step_distribution(g: AugmentedGraph, params: WalkParams, v: int) -> np.ndarray:
-    """Normalized first-step distribution over the (sorted) neighbors of v."""
-    return transition_distribution(g, params, SENTINEL_START, v)
-
-
 def transition_distribution(g: AugmentedGraph, params: WalkParams, u: int, v: int) -> np.ndarray:
     """Normalized transition distribution for state (u, v).
 

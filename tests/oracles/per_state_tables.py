@@ -11,7 +11,7 @@ reproduce these arrays byte for byte.
 import numpy as np
 
 from fane.alias import build_alias
-from fane.walks import first_step_distribution, transition_distribution
+from fane.walks import SENTINEL_START, transition_distribution
 
 
 def per_state_tables(g, params, tau):
@@ -26,7 +26,7 @@ def per_state_tables(g, params, tau):
     node_alias = np.empty(node_entries, np.int32)
     pos = 0
     for v in np.nonzero(small)[0]:
-        acc, ali = build_alias(first_step_distribution(g, params, int(v)))
+        acc, ali = build_alias(transition_distribution(g, params, SENTINEL_START, int(v)))
         d = len(acc)
         node_off[v] = pos
         node_accept[pos:pos + d] = acc

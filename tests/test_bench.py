@@ -4,6 +4,7 @@ import pytest
 from fane import WalkParams, build_augmented, preprocess_transitions
 from fane.bench import (BenchSpec, attach_random_attributes, erdos_renyi,
                         ols_fit, run_scaling)
+from oracles import erdos_renyi_reference
 
 
 def test_er_two_nodes_single_edge():
@@ -38,6 +39,20 @@ def test_er_no_isolated_nodes():
     np.add.at(deg, g.edge_src, 1)
     np.add.at(deg, g.edge_dst, 1)
     assert deg.min() >= 1
+
+
+@pytest.mark.parametrize("n, deg, seeds", [
+    (2, 1, [0]), (100, 10, [1]), (1000, 10, [3]), (30, 29, [4]),
+    # sparse: many isolated nodes, whose repairs clash with earlier repairs
+    (50, 1, [2]), (200, 0.5, [7]), (4, 0.5, range(30)), (8, 0.5, range(30))])
+def test_er_matches_set_based_oracle(n, deg, seeds):
+    for seed in seeds:
+        got = erdos_renyi(n, deg, seed)
+        want = erdos_renyi_reference.erdos_renyi(n, deg, seed)
+        for a, b in [(got.edge_src, want.edge_src), (got.edge_dst, want.edge_dst),
+                     (got.edge_weight, want.edge_weight)]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert (got.n_nodes, got.node_names) == (want.n_nodes, want.node_names)
 
 
 def test_er_rejects_bad_params():

@@ -10,7 +10,7 @@ from fane import evaluate
 from fane.evaluate import (LinearSVM, SplitSpec, evaluate_classification,
                            kmeans, macro_f1, micro_f1, pca_top_components,
                            project_2d, silhouette_score, split,
-                           stratified_split, sweep_grid)
+                           stratified_split)
 from oracles import pegasos_reference, unblocked_distances
 
 
@@ -373,63 +373,3 @@ def test_evaluate_classification_report_shape(tmp_path):
     assert lines[0] == "ratio,rep,C,d,micro_f1,macro_f1"
     assert len(lines) == 9
     assert all(line.split(",")[2:4] == ["1.0", "3"] for line in lines[1:])
-
-
-def test_run_sweep_trains_once_per_dimension(tmp_path):
-    import io
-    from fane import WalkParams, load_attributes, load_edge_list, load_labels
-    from fane.evaluate import run_sweep
-    g = load_edge_list(io.StringIO("0 1\n1 2\n2 3\n3 0\n0 2\n1 3\n"))
-    load_attributes(io.StringIO("0 0\n1 0\n2 1\n3 1\n"), g)
-    load_labels(io.StringIO("0 a\n1 a\n2 b\n3 b\n"), g)
-    csv_path = tmp_path / "sweep.csv"
-    rows, ds, cs, matrix = run_sweep(
-        g, WalkParams(walk_length=8, walks_per_node=4, seed=2),
-        d_grid=[2, 4], C_grid=[0.5, 1.0], ratio=0.5, repetitions=2, seed=2,
-        window=2, epochs=1, out_csv=csv_path,
-        out_matrix=tmp_path / "matrix.csv", out_svg=tmp_path / "sweep.svg")
-    assert matrix.shape == (2, 2)
-    assert len(rows) == 2 * 2 * 2
-    assert csv_path.read_text().startswith("ratio,rep,C,d,micro_f1,macro_f1")
-    assert (tmp_path / "matrix.csv").exists()
-    assert (tmp_path / "sweep.svg").read_text().startswith("<svg")
-
-
-def test_sweep_grid_counts_and_determinism():
-    rng = np.random.default_rng(16)
-    X = np.concatenate([rng.normal(0, 0.4, (20, 4)) + [2, 0, 0, 0],
-                        rng.normal(0, 0.4, (20, 4)) - [2, 0, 0, 0]])
-    y = np.repeat([0, 1], 20)
-    feats = {4: X, 8: np.hstack([X, X])}
-    rows, ds, cs, matrix = sweep_grid(feats, y, C_grid=[0.5, 0.5, 1.0],
-                                      ratio=0.5, repetitions=3, seed=1)
-    assert matrix.shape == (2, 3)
-    assert len(rows) == 2 * 3 * 3
-    # identical C values give identical scores on fixed features
-    assert matrix[0, 0] == matrix[0, 1]
-    assert matrix[1, 0] == matrix[1, 1]
-
-
-def test_sweep_grid_cells_are_evaluate_classification_calls():
-    """Each (d, C) cell's rows are one evaluate_classification call's rows,
-    C and d included, and its matrix entry is their mean Micro-F1."""
-    rng = np.random.default_rng(17)
-    X = np.concatenate([rng.normal(0, 0.8, (15, 3)) + [1, 0, 0],
-                        rng.normal(0, 0.8, (15, 3)) - [1, 0, 0],
-                        rng.normal(0, 0.8, (15, 3)) + [0, 1, 0]])
-    y = np.repeat([0, 1, 2], 15)
-    feats = {3: X, 5: np.hstack([X, X[:, :2] ** 2])}
-    C_grid = [0.1, 2.0]
-    rows, ds, cs, matrix = sweep_grid(feats, y, C_grid, ratio=0.4, repetitions=3,
-                                      seed=5, iters=200)
-    assert (ds, cs) == ([3, 5], C_grid)
-    assert len(rows) == len(ds) * len(C_grid) * 3
-    cells = iter(rows[k:k + 3] for k in range(0, len(rows), 3))
-    for i, d in enumerate(ds):
-        for j, C in enumerate(C_grid):
-            report = evaluate_classification(feats[d], y, [0.4], C, repetitions=3,
-                                             seed=5, iters=200)
-            cell = next(cells)
-            assert cell == report.rows
-            assert all(r["C"] == C and r["d"] == d for r in cell)
-            assert matrix[i, j] == report.mean_micro(0.4)

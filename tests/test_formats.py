@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fane import EmbeddingMatrix, GraphFormatError, graph, load_attributes, load_edge_list
+from fane import EmbeddingMatrix, GraphFormatError, graph, load_attributes, load_edge_list, load_labels
 from fane.cli import main
 from fane.graph import read_records
 
@@ -136,7 +136,6 @@ EDGE_FILES = _file(st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES)).fla
 ATTR_FILES = _file(st.tuples(st.sampled_from(NAMES), st.integers(0, 40).flatmap(
     lambda a: st.sampled_from([str(a), f"+{a}", f"0{a}"]))).flatmap(
     lambda na: st.one_of(st.just(list(na)), _weights.map(lambda x: [*na, x]))))
-LABEL_FILES = _file(st.tuples(st.sampled_from(NAMES), st.sampled_from(["c", "b", "10", "2", "a#"])).map(list))
 
 
 def _state(g: graph.AttributedGraph):
@@ -180,20 +179,6 @@ def test_attribute_scanner_matches_records(data):
         with pytest.raises(graph._Declined):
             graph._scan_sparse_attributes(data, _base_graph(), None)
     assert _outcome(load_attributes, data, _base_graph())[0] == kind
-
-
-@given(LABEL_FILES)
-@settings(max_examples=100, deadline=None)
-def test_label_scanner_matches_records(data):
-    want = _base_graph()
-    kind, message = _outcome(graph._load_label_records, data, want)
-    if kind == "ok":
-        g = _base_graph()
-        g.labels, g.class_names = graph._scan_labels(data, g)
-        assert _state(g) == _state(want)
-    else:
-        with pytest.raises(graph._Declined):
-            graph._scan_labels(data, _base_graph())
 
 
 CORRUPTIONS = ["x", "-1", "0", "nan", "inf", "1e999", "", "a b c d", "\u0663", "1_0x"]
@@ -254,6 +239,14 @@ def test_bytes_the_scanner_declines_load_as_per_record(tmp_path, source):
     # int() reads 1_0 as 10, and float() 2_5 as 25
     g = load(load_attributes, b"0 1_0 2_5\n", load_edge_list(b"0 1\n"))
     assert g.attr_id.tolist() == [10] and g.attr_value.tolist() == [25.0] and g.n_attrs == 11
+    # labels, parsed per record from every kind of source, split lines the same way
+    g = load_edge_list(b"0 1\n1 2\n")
+    if source in ("path", "binary"):
+        load(load_labels, b"0 b\r2 a\n", g)
+        assert g.labels == {0: 1, 2: 0} and g.class_names == ["a", "b"]
+    else:
+        with pytest.raises(GraphFormatError, match=r"label line 1: expected 'node class'"):
+            load(load_labels, b"0 b\r2 a\n", g)
 
 
 def test_scanner_peak_memory_at_most_per_record(tmp_path):

@@ -187,14 +187,6 @@ def test_subsampling_smoke():
     assert np.all(np.isfinite(emb.vectors))
 
 
-def test_fixed_window_mode():
-    rng = np.random.default_rng(16)
-    walks = rng.integers(0, 10, size=(30, 6))
-    emb = train(walks, TrainParams(dimension=4, window=2, epochs=1, seed=3,
-                                   dynamic_window=False))
-    assert np.all(np.isfinite(emb.vectors))
-
-
 def _record_batches(monkeypatch) -> list:
     """(pairs, lr) of every _apply_batch call that train makes."""
     calls = []
@@ -206,19 +198,14 @@ def _record_batches(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("dynamic", [True, False])
-def test_window_beyond_uint8(dynamic, monkeypatch):
-    # a window of 300 on walks of 280: every window size up to 279 occurs,
-    # and a fixed window pairs every two positions of a walk
+def test_window_beyond_uint8():
+    # a window of 300 on walks of 280: every window size up to 279 occurs
     walks = np.random.default_rng(17).integers(0, 20, size=(3, 280))
-    params = TrainParams(dimension=4, window=300, epochs=1, seed=3, dynamic_window=dynamic)
+    params = TrainParams(dimension=4, window=300, epochs=1, seed=3)
     _, kp, _, _ = _epoch_draws(walks, None, params, 0)
     assert kp.dtype == np.uint16 and kp.max() > 255
-    calls = _record_batches(monkeypatch)
     emb = train(walks, params)
     assert np.all(np.isfinite(emb.vectors))
-    if not dynamic:
-        assert sum(n for n, _ in calls) == 3 * 280 * 279
     # windows that fit a byte keep their uint8 draws
     assert _epoch_draws(walks, None, TrainParams(window=255), 0)[1].dtype == np.uint8
 

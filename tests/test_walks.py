@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from fane import (SF, STF, TF, WalkParams, build_augmented, generate_corpus,
                   generate_walk, load_attributes, load_edge_list,
-                  preprocess_transitions, transition_distribution,
-                  first_step_distribution)
+                  preprocess_transitions, transition_distribution)
 from fane import walks as walks_module
 from fane.cli import main
 from fane.graph import AttributedGraph
@@ -69,7 +68,7 @@ def test_alpha_strategy_cases(five_node_graph):
 
 def test_first_step_weighted_uniform_at_r_one(five_node_graph):
     params = WalkParams(r=1.0, strategy=TF)
-    dist = first_step_distribution(five_node_graph, params, 0)
+    dist = transition_distribution(five_node_graph, params, SENTINEL_START, 0)
     assert np.allclose(dist, [0.5, 0.25, 0.25], atol=1e-15)
 
 
@@ -78,7 +77,7 @@ def test_first_step_attr_pull():
     load_attributes(io.StringIO("0 0\n1 0\n"), g)
     ag = build_augmented(g)
     params = WalkParams(r=0.1, strategy=TF)
-    dist = first_step_distribution(ag, params, 0)
+    dist = transition_distribution(ag, params, SENTINEL_START, 0)
     nbrs, _ = ag.neighbor_slice(0)
     attr_pos = int(np.nonzero(nbrs >= ag.n_raw)[0][0])
     assert dist[attr_pos] == pytest.approx(10.0 / 13.0, abs=1e-12)
@@ -86,7 +85,7 @@ def test_first_step_attr_pull():
 
 def test_first_step_from_attr_node_sf_is_weighted_uniform(five_node_graph):
     params = WalkParams(r=10.0, strategy=SF)
-    dist = first_step_distribution(five_node_graph, params, 5)
+    dist = transition_distribution(five_node_graph, params, SENTINEL_START, 5)
     assert np.allclose(dist, [0.5, 0.5], atol=1e-15)
 
 
