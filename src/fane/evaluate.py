@@ -122,7 +122,7 @@ def macro_f1(pred, truth, classes=None) -> float:
 
 _GAP_TOL = 1e-4       # stop once every class's relative duality gap is below this
 _GAP_EVERY = 10       # steps between gap checks
-_MAX_STEPS = 20000    # step cap when `iters` is not given
+_MAX_STEPS = 20000    # step cap
 
 
 class LinearSVM:
@@ -135,19 +135,16 @@ class LinearSVM:
     of size 1/L (L the largest eigenvalue of XᵀX, X centred) with FISTA
     momentum, restarted per class when a step turns back. It stops when
     every class's duality gap (P − D)/P is below `_GAP_TOL`, checked every
-    `_GAP_EVERY` steps, or after `iters` steps (default `_MAX_STEPS`), and
-    logs a WARNING if that cap ends it first. `n_iter_` and `gap_` record
-    the steps taken and the final largest gap. Prediction uses the final
-    w = (Y⊙α)ᵀX. Ties in the argmax go to the smaller class id.
+    `_GAP_EVERY` steps, or after `_MAX_STEPS` steps, and logs a WARNING if
+    that cap ends it first. `n_iter_` and `gap_` record the steps taken and
+    the final largest gap. Prediction uses the final w = (Y⊙α)ᵀX. Ties in
+    the argmax go to the smaller class id.
     """
 
-    def __init__(self, C: float = 1.0, iters: int | None = None):
+    def __init__(self, C: float = 1.0):
         if not (C > 0):
             raise ValueError("C must be positive")
-        if iters is not None and iters < 1:
-            raise ValueError("iters must be at least 1")
         self.C = C
-        self.iters = iters
         self.classes_ = None
         self.weights_ = None
         self.mean_ = None
@@ -160,7 +157,7 @@ class LinearSVM:
         self.classes_ = np.unique(y)
         if len(self.classes_) < 2:
             raise ValueError("training set has a single class")
-        C, cap = self.C, self.iters or _MAX_STEPS
+        C, cap = self.C, _MAX_STEPS
         self.mean_ = X.mean(axis=0)
         Xc = X - self.mean_
         Y = np.where(y[:, None] == self.classes_[None, :], 1.0, -1.0)

@@ -7,7 +7,10 @@ unigram^0.75 noise distribution, each pair drawing its own negatives.
 Training is one sequential loop, byte-reproducible for a fixed seed: every
 epoch draws its windows, subsampling and walk order from its own stream,
 and mini-batches apply the gradients of sgns_gradients in order; each
-side's row updates are summed by one sort and one np.add.reduceat.
+side's row updates are summed by one sort and np.add.reduceat. A batch
+holds vc and d_in at (B, d), one slice of its negative rows and one piece
+of its sorted updates, each about _SLICE_ELEMENTS floats; slicing changes
+no bit of the result.
 Everything is keyed by vocabulary position (first appearance in the
 corpus), so relabeling node ids permutes the output rows and nothing else.
 """
@@ -24,6 +27,7 @@ _INIT_STREAM = 0
 _EPOCH_STREAM = 10
 _CHUNK_WALKS = 1024     # walks whose pairs are drawn, shuffled and trained together
 _BATCH_PAIRS = 8192     # pairs per _apply_batch call, at most
+_SLICE_ELEMENTS = 1 << 19  # floats a slice of an _apply_batch pass gathers (2 MB)
 _COUNT_SLICE = 1 << 16  # corpus tokens per np.bincount call in build_vocabulary
 
 
@@ -304,8 +308,14 @@ def train(walks: np.ndarray, params: TrainParams, key_fn=None) -> EmbeddingMatri
                 continue
             shuffle = rng_e.permutation(len(centers))
             centers, contexts = centers[shuffle], contexts[shuffle]
-            negs = alias_draw(noise_accept, noise_alias, 0, V,
-                              *rng_e.random((2, len(centers), params.negatives))).astype(np.int32)
+            # alias_draw a batch of uniforms at a time, so its temporaries stay batch-sized;
+            # negs comes first, so freeing the uniforms leaves no hole below it in the heap
+            negs = np.empty((len(centers), params.negatives), np.int32)
+            uniforms = rng_e.random((2, *negs.shape))
+            for b0 in range(0, len(centers), batch_pairs):
+                negs[b0:b0 + batch_pairs] = alias_draw(noise_accept, noise_alias, 0, V,
+                                                       *uniforms[:, b0:b0 + batch_pairs])
+            uniforms = None
             for b0 in range(0, len(centers), batch_pairs):
                 lr = max(params.min_learning_rate, params.learning_rate * (1.0 - (done + b0) / total_pairs))
                 b1 = b0 + batch_pairs
@@ -334,16 +344,32 @@ def _apply_batch(in_vecs, out_vecs, centers, contexts, negs, lr) -> float:
     """
     B, k = negs.shape
     vc = in_vecs[centers]
-    vo = out_vecs[contexts]
-    vn = out_vecs[negs]
+    step = max(1, _SLICE_ELEMENTS // (k * vc.shape[1]))
+    if step >= B:
+        log_sig, coef, d_in = _score(vc, out_vecs[contexts], out_vecs[negs])
+    else:   # slices fill the batch's [pairs, negatives] layout, so the loss sums as unsliced
+        log_sig, coef = np.empty((2, B * (1 + k)), np.float32)
+        d_in = np.empty_like(vc)
+        for s in range(0, B, step):
+            t = min(s + step, B)
+            ls, cf, d_in[s:t] = _score(vc[s:t], out_vecs[contexts[s:t]], out_vecs[negs[s:t]])
+            log_sig[s:t], log_sig[B + s * k:B + t * k] = ls[:t - s], ls[t - s:]
+            coef[s:t], coef[B + s * k:B + t * k] = cf[:t - s], cf[t - s:]
+    pairs = np.arange(B, dtype=np.int32)
+    _segment_add(in_vecs, centers, d_in, pairs, None, lr)
+    _segment_add(out_vecs, np.concatenate([contexts, negs.ravel()]), vc,
+                 np.concatenate([pairs, np.repeat(pairs, k)]), coef, lr)
+    return float(-log_sig.sum())
+
+
+def _score(vc, vo, vn):
+    """Loss terms and coefficients, laid out [pairs, negatives], and d_in."""
+    B = len(vc)
     log_sig, coef = _log_sigmoid(np.concatenate([np.einsum("bd,bd->b", vc, vo),
                                                  -np.einsum("bd,bkd->bk", vc, vn).ravel()]))
     coef[B:] *= -1   # d objective / d(c.o) for the pair, / d(c.n) for a negative
-    d_in = coef[:B, None] * vo + np.einsum("bk,bkd->bd", coef[B:].reshape(B, k), vn)
-    _segment_add(in_vecs, centers, d_in, np.arange(B), None, lr)
-    _segment_add(out_vecs, np.concatenate([contexts, negs.ravel()]), vc,
-                 np.concatenate([np.arange(B), np.repeat(np.arange(B), k)]), coef, lr)
-    return float(-log_sig.sum())
+    d_in = coef[:B, None] * vo + np.einsum("bk,bkd->bd", coef[B:].reshape(vn.shape[:2]), vn)
+    return log_sig, coef, d_in
 
 
 def _segment_add(target, rows, src, src_idx, coef, lr) -> None:
@@ -351,19 +377,26 @@ def _segment_add(target, rows, src, src_idx, coef, lr) -> None:
     over the m entries i with rows[i] == r (coef None means 1).
 
     Sorting by row makes each row's entries one run; gathered as the columns
-    of a C-ordered (d, n) block, every run is summed along the contiguous
-    axis by one np.add.reduceat.
+    of a C-ordered (d, n) block, every run is summed whole along the
+    contiguous axis by np.add.reduceat, in pieces of about _SLICE_ELEMENTS
+    floats that end on run boundaries.
     """
     order = np.argsort(rows)
     rows = rows[order]
     starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-    m = np.diff(np.append(starts, len(rows)))
-    block = np.take(_transposed(src), src_idx[order], axis=1)
-    if coef is not None:
-        block *= coef[order]
-    acc = np.add.reduceat(block, starts, axis=1)
-    acc *= (lr * np.minimum(1.0, 1.0 / (lr * m))).astype(np.float32)
-    target[rows[starts]] += acc.T
+    ends = np.append(starts[1:], len(rows))
+    scale = (lr * np.minimum(1.0, 1.0 / (lr * (ends - starts)))).astype(np.float32)
+    src_t = _transposed(src)
+    piece = max(1, _SLICE_ELEMENTS // src.shape[1])   # entries; each piece ends at a run start
+    bounds = np.unique(np.append(np.searchsorted(starts, np.arange(0, len(rows), piece)), len(starts)))
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        entries = order[starts[r0]:ends[r1 - 1]]
+        block = np.take(src_t, src_idx[entries], axis=1)
+        if coef is not None:
+            block *= coef[entries]
+        acc = np.add.reduceat(block, starts[r0:r1] - starts[r0], axis=1)
+        acc *= scale[r0:r1]
+        target[rows[starts[r0:r1]]] += acc.T
 
 
 def _transposed(x: np.ndarray) -> np.ndarray:

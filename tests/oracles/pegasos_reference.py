@@ -20,7 +20,7 @@ def fit(clf, X, y):
     n = len(y)
     lam = 1.0 / (clf.C * n)
     # subgradient descent needs ~1/lambda steps to converge
-    iters = clf.iters if clf.iters else min(30000, max(1000, int(20.0 / lam)))
+    iters = min(30000, max(1000, int(20.0 / lam)))
     clf.mean_ = X.mean(axis=0)
     Xc = X - clf.mean_
     Y = np.where(y[:, None] == clf.classes_[None, :], 1.0, -1.0)

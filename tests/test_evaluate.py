@@ -103,11 +103,12 @@ def test_macro_equals_micro_on_balanced_symmetric_errors():
 
 # ---------------------------------------------------------------- SVM
 
-def test_svm_separable_toy_perfect_training_accuracy():
+def test_svm_separable_toy_perfect_training_accuracy(monkeypatch):
+    monkeypatch.setattr(evaluate, "_MAX_STEPS", 500)
     X = np.array([[2.0, 1.5], [1.5, 2.0], [2.5, 2.5],
                   [-2.0, -1.0], [-1.0, -2.0], [-2.5, -2.0]])
     y = np.array([0, 0, 0, 1, 1, 1])
-    clf = LinearSVM(C=10.0, iters=500).fit(X, y)
+    clf = LinearSVM(C=10.0).fit(X, y)
     assert micro_f1(clf.predict(X), y) == 1.0
 
 
@@ -117,12 +118,7 @@ def test_svm_single_class_rejected():
         LinearSVM(C=1.0).fit(X, np.zeros(4, int))
 
 
-def test_svm_step_cap_must_be_positive():
-    with pytest.raises(ValueError, match="iters must be at least 1"):
-        LinearSVM(C=1.0, iters=0)
-
-
-def test_svm_matches_brute_force_margin_maximizer():
+def test_svm_matches_brute_force_margin_maximizer(monkeypatch):
     # 6-point 2-D set; the oracle maximizes the hard margin of a hyperplane
     # through the origin of the centered data, found by scanning directions
     X = np.array([[2.0, 1.0], [3.0, 2.0], [2.5, 3.0],
@@ -140,7 +136,8 @@ def test_svm_matches_brute_force_margin_maximizer():
                 best_margin, best_w = margin, flip
     assert best_margin > 0
 
-    clf = LinearSVM(C=100.0, iters=4000).fit(X, y)
+    monkeypatch.setattr(evaluate, "_MAX_STEPS", 4000)
+    clf = LinearSVM(C=100.0).fit(X, y)
     gx, gy = np.meshgrid(np.linspace(-3, 3, 7), np.linspace(-3, 3, 7))
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
     grid_c = grid - X.mean(axis=0)
@@ -151,13 +148,14 @@ def test_svm_matches_brute_force_margin_maximizer():
     assert np.array_equal(got[clear], oracle_pred[clear])
 
 
-def test_svm_scaling_invariance_exact():
+def test_svm_scaling_invariance_exact(monkeypatch):
+    monkeypatch.setattr(evaluate, "_MAX_STEPS", 300)
     rng = np.random.default_rng(33)
     X = rng.normal(size=(40, 6))
     y = rng.integers(0, 3, size=40)
     Xt = rng.normal(size=(15, 6))
-    a = LinearSVM(C=0.8, iters=300).fit(X, y)
-    b = LinearSVM(C=0.2, iters=300).fit(2.0 * X, y)
+    a = LinearSVM(C=0.8).fit(X, y)
+    b = LinearSVM(C=0.2).fit(2.0 * X, y)
     assert np.array_equal(a.predict(Xt), b.predict(2.0 * Xt))
     assert np.array_equal(a.decision_scores(Xt), b.decision_scores(2.0 * Xt))
 
@@ -195,7 +193,7 @@ def test_svm_objective_and_predictions_match_pegasos_oracle(d, k, C):
     assert np.mean(got.predict(X_test) == want.predict(X_test)) >= 0.98
 
 
-def test_svm_reports_steps_and_gap(caplog):
+def test_svm_reports_steps_and_gap(caplog, monkeypatch):
     rng = np.random.default_rng(21)
     X = rng.normal(size=(120, 5))
     y = (X[:, 0] + 0.5 * rng.normal(size=120) > 0).astype(int)
@@ -203,8 +201,9 @@ def test_svm_reports_steps_and_gap(caplog):
         clf = LinearSVM(C=1.0).fit(X, y)
     assert clf.gap_ < 1e-4 and 0 < clf.n_iter_ < evaluate._MAX_STEPS
     assert not caplog.records
+    monkeypatch.setattr(evaluate, "_MAX_STEPS", 10)
     with caplog.at_level(logging.WARNING, logger="fane.evaluate"):
-        capped = LinearSVM(C=1.0, iters=10).fit(X, y)
+        capped = LinearSVM(C=1.0).fit(X, y)
     assert capped.n_iter_ == 10 and capped.gap_ >= 1e-4
     [record] = caplog.records
     assert record.levelno == logging.WARNING

@@ -5,6 +5,7 @@ import pytest
 
 from fane import EmbeddingMatrix, TrainParams, build_vocabulary, sgns, train
 from fane.sgns import _apply_batch, _epoch_draws, _log_sigmoid, _pairs_for_chunk, sgns_gradients
+from oracles import unsliced_batch
 from oracles.sgns_reference import apply_batch, log_sigmoid, sigmoid, sgns_step
 
 
@@ -310,6 +311,63 @@ def test_apply_batch_matches_bincount_reference(d, lr):
             np.testing.assert_allclose(got, want, rtol=1e-5,
                                        atol=1e-5 * float(np.abs(want).max()))
         assert loss == pytest.approx(ref_loss, rel=1e-5)
+
+
+# A slice of 7 pairs and pieces of 7k entries: B=300 ends on a partial
+# slice, V=7 gives runs of about 260 out-entries that cross many piece
+# boundaries, V=60 pieces that hold several runs each.
+@pytest.mark.parametrize("d", [1, 8, 128])
+@pytest.mark.parametrize("lr", [1e-3, 0.2])
+@pytest.mark.parametrize("V", [7, 60])
+def test_sliced_batch_is_byte_identical_to_unsliced(monkeypatch, d, lr, V):
+    k = 5
+    monkeypatch.setattr(sgns, "_SLICE_ELEMENTS", 7 * k * d)
+    rng = np.random.default_rng(10 * d + V)
+    for _ in range(2):
+        in_vecs, out_vecs, centers, contexts, negs = _random_batch(rng, V, 300, k, d)
+        ref_in, ref_out = in_vecs.copy(), out_vecs.copy()
+        ref_loss = unsliced_batch.apply_batch(ref_in, ref_out, centers, contexts, negs, lr)
+        loss = _apply_batch(in_vecs, out_vecs, centers, contexts, negs, lr)
+        assert in_vecs.tobytes() == ref_in.tobytes()
+        assert out_vecs.tobytes() == ref_out.tobytes()
+        assert loss == ref_loss
+
+
+def test_train_byte_identical_at_any_slice_size(monkeypatch):
+    walks = np.random.default_rng(29).integers(0, 80, size=(200, 15))
+    params = TrainParams(dimension=16, window=3, epochs=2, seed=4, learning_rate=0.2)
+    a = train(walks, params)
+    monkeypatch.setattr(sgns, "_SLICE_ELEMENTS", 3 * params.negatives * params.dimension)
+    b = train(walks, params)
+    assert a.vectors.tobytes() == b.vectors.tobytes()
+    assert a.out_vectors.tobytes() == b.out_vectors.tobytes()
+    assert a.epoch_losses == b.epoch_losses
+
+
+def _traced_peak(kernel, batch, lr=0.2) -> int:
+    """Traced peak of one kernel call on copies of batch's vectors."""
+    in_vecs, out_vecs, centers, contexts, negs = batch
+    in_vecs, out_vecs = in_vecs.copy(), out_vecs.copy()
+    tracemalloc.start()
+    try:
+        kernel(in_vecs, out_vecs, centers, contexts, negs, lr)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_apply_batch_peak_memory_bounded_in_negatives():
+    # B=8192, d=128: the unsliced kernel holds a (B, k, d) negative block and
+    # a (d, B(1+k)) out-side block; the sliced one holds neither
+    B, d = 8192, 128
+    peaks = {}
+    for k in (5, 20):
+        batch = _random_batch(np.random.default_rng(k), 2000, B, k, d)
+        peaks[k] = _traced_peak(_apply_batch, batch)
+        if k == 5:
+            oracle_peak = _traced_peak(unsliced_batch.apply_batch, batch)
+    assert peaks[20] - peaks[5] < B * d * 4
+    assert peaks[5] < oracle_peak / 2
 
 
 def test_apply_batch_single_pair_is_sgns_gradients():
