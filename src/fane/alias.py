@@ -79,4 +79,4 @@ def alias_draw(accept: np.ndarray, alias: np.ndarray, off, d, u1, u2) -> np.ndar
     arrays: column j by u1, kept if u2 < accept, else its alias."""
     j = np.minimum((u1 * d).astype(np.int64), d - 1)
     at = off + j
-    return np.where(u2 < accept[at], j, alias[at])
+    return np.where(u2 < np.take(accept, at), j, np.take(alias, at))

@@ -28,16 +28,17 @@ class GraphFormatError(ValueError):
 
 @contextmanager
 def _open_text(source):
-    """Text view of a path, bytes or stream; closes only what it opened."""
+    """Text view of a path, bytes or stream, read with universal newlines
+    (a bare CR ends a line) as open() reads a file; closes only what it
+    opened."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as f:
             yield f
-    elif isinstance(source, bytes):
-        yield io.StringIO(source.decode("utf-8"))
     elif isinstance(source, io.TextIOBase):
-        yield source
-    else:  # binary stream: wrap it, and hand it back open
-        f = io.TextIOWrapper(source, encoding="utf-8")
+        yield io.StringIO(source.read(), newline=None)
+    else:  # bytes or a binary stream: wrap it, and hand a stream back open
+        f = io.TextIOWrapper(io.BytesIO(source) if isinstance(source, bytes) else source,
+                             encoding="utf-8")
         try:
             yield f
         finally:

@@ -7,10 +7,13 @@ unigram^0.75 noise distribution, each pair drawing its own negatives.
 Training is one sequential loop, byte-reproducible for a fixed seed: every
 epoch draws its windows, subsampling and walk order from its own stream,
 and mini-batches apply the gradients of sgns_gradients in order; each
-side's row updates are summed by one sort and np.add.reduceat. A batch
-holds vc and d_in at (B, d), one slice of its negative rows and one piece
-of its sorted updates, each about _SLICE_ELEMENTS floats; slicing changes
-no bit of the result.
+side's row updates are summed by np.add.reduceat, a row's entries in the
+order the batch made them (stable radix passes, _row_order), so AVX-512 and
+AVX2 hosts give the same vectors. Their losses differ in the last bits
+(np.log1p rounds differently), and builds without AVX2 give other vectors
+(other float32 kernels round differently). A batch holds vc and d_in at
+(B, d), one slice of its negative rows and one piece of its sorted updates,
+each about _SLICE_ELEMENTS floats; slicing changes no bit of the result.
 Everything is keyed by vocabulary position (first appearance in the
 corpus), so relabeling node ids permutes the output rows and nothing else.
 """
@@ -85,8 +88,13 @@ def build_vocabulary(walks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _log_sigmoid(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log sigma(y) and its derivative 1 - sigma(y) = sigma(-y), both from
     one exp(-|y|) and stable at any |y|."""
-    e = np.exp(-np.abs(y))
-    return np.minimum(y, 0.0) - np.log1p(e), np.where(y >= 0, e, 1.0) / (1.0 + e)
+    e = np.abs(y)
+    np.exp(np.negative(e, out=e), out=e)
+    log_sig = np.minimum(y, 0.0)
+    log_sig -= np.log1p(e)
+    slope = np.where(y >= 0, e, 1.0)
+    slope /= np.add(e, 1.0, out=e)
+    return log_sig, slope
 
 
 def sgns_gradients(center_vec, context_vec, negative_vecs):
@@ -307,7 +315,7 @@ def train(walks: np.ndarray, params: TrainParams, key_fn=None) -> EmbeddingMatri
             if len(centers) == 0:
                 continue
             shuffle = rng_e.permutation(len(centers))
-            centers, contexts = centers[shuffle], contexts[shuffle]
+            centers, contexts = np.take(centers, shuffle), np.take(contexts, shuffle)
             # alias_draw a batch of uniforms at a time, so its temporaries stay batch-sized;
             # negs comes first, so freeing the uniforms leaves no hole below it in the heap
             negs = np.empty((len(centers), params.negatives), np.int32)
@@ -343,16 +351,18 @@ def _apply_batch(in_vecs, out_vecs, centers, contexts, negs, lr) -> float:
     (sequential-SGD regime), a bounded step once duplicates would overshoot.
     """
     B, k = negs.shape
-    vc = in_vecs[centers]
+    vc = np.take(in_vecs, centers, axis=0)
     step = max(1, _SLICE_ELEMENTS // (k * vc.shape[1]))
     if step >= B:
-        log_sig, coef, d_in = _score(vc, out_vecs[contexts], out_vecs[negs])
+        log_sig, coef, d_in = _score(vc, np.take(out_vecs, contexts, axis=0),
+                                     np.take(out_vecs, negs, axis=0))
     else:   # slices fill the batch's [pairs, negatives] layout, so the loss sums as unsliced
         log_sig, coef = np.empty((2, B * (1 + k)), np.float32)
         d_in = np.empty_like(vc)
         for s in range(0, B, step):
             t = min(s + step, B)
-            ls, cf, d_in[s:t] = _score(vc[s:t], out_vecs[contexts[s:t]], out_vecs[negs[s:t]])
+            ls, cf, d_in[s:t] = _score(vc[s:t], np.take(out_vecs, contexts[s:t], axis=0),
+                                       np.take(out_vecs, negs[s:t], axis=0))
             log_sig[s:t], log_sig[B + s * k:B + t * k] = ls[:t - s], ls[t - s:]
             coef[s:t], coef[B + s * k:B + t * k] = cf[:t - s], cf[t - s:]
     pairs = np.arange(B, dtype=np.int32)
@@ -381,8 +391,8 @@ def _segment_add(target, rows, src, src_idx, coef, lr) -> None:
     contiguous axis by np.add.reduceat, in pieces of about _SLICE_ELEMENTS
     floats that end on run boundaries.
     """
-    order = np.argsort(rows)
-    rows = rows[order]
+    order = _row_order(rows, len(target))
+    rows = np.take(rows, order)
     starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
     ends = np.append(starts[1:], len(rows))
     scale = (lr * np.minimum(1.0, 1.0 / (lr * (ends - starts)))).astype(np.float32)
@@ -391,12 +401,26 @@ def _segment_add(target, rows, src, src_idx, coef, lr) -> None:
     bounds = np.unique(np.append(np.searchsorted(starts, np.arange(0, len(rows), piece)), len(starts)))
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         entries = order[starts[r0]:ends[r1 - 1]]
-        block = np.take(src_t, src_idx[entries], axis=1)
+        block = np.take(src_t, np.take(src_idx, entries), axis=1)
         if coef is not None:
-            block *= coef[entries]
+            block *= np.take(coef, entries)
         acc = np.add.reduceat(block, starts[r0:r1] - starts[r0], axis=1)
         acc *= scale[r0:r1]
-        target[rows[starts[r0:r1]]] += acc.T
+        r = rows[starts[r0:r1]]   # distinct, so a gather, add and write is target[r] += acc.T
+        upd = np.take(target, r, axis=0)
+        upd += acc.T
+        target[r] = upd
+
+
+def _row_order(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """np.argsort(rows, kind="stable") for rows in [0, n_rows): a stable sort
+    of each 16-bit digit, least significant first, which numpy does by radix
+    sort, so ties keep one order on every host."""
+    order = np.argsort(rows.astype(np.uint16), kind="stable")
+    for shift in range(16, (n_rows - 1).bit_length(), 16):
+        digit = (np.take(rows, order) >> shift).astype(np.uint16)
+        order = np.take(order, np.argsort(digit, kind="stable"))
+    return order
 
 
 def _transposed(x: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@
 once: the (B, k, d) negative block and the (d, B(1+k)) out-side block are
 each built in full. The shipped ``fane.sgns._apply_batch`` does the same
 arithmetic a slice of pairs and a piece of sorted entries at a time, so its
-in-vectors, out-vectors and loss must equal these bit for bit.
+in-vectors, out-vectors and loss must equal these bit for bit. The stable
+sort in ``segment_add`` defines the canonical order of a row's entries:
+the order the batch made them.
 """
 
 import numpy as np
@@ -32,7 +34,7 @@ def apply_batch(in_vecs, out_vecs, centers, contexts, negs, lr) -> float:
 def segment_add(target, rows, src, src_idx, coef, lr) -> None:
     """target[r] += lr * min(1, 1/(lr*m)) * sum of coef[i] * src[src_idx[i]]
     over the m entries i with rows[i] == r (coef None means 1)."""
-    order = np.argsort(rows)
+    order = np.argsort(rows, kind="stable")
     rows = rows[order]
     starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
     m = np.diff(np.append(starts, len(rows)))

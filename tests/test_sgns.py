@@ -1,10 +1,18 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fane import EmbeddingMatrix, TrainParams, build_vocabulary, sgns, train
-from fane.sgns import _apply_batch, _epoch_draws, _log_sigmoid, _pairs_for_chunk, sgns_gradients
+from fane.sgns import (_apply_batch, _epoch_draws, _log_sigmoid, _pairs_for_chunk, _row_order,
+                       sgns_gradients)
 from oracles import unsliced_batch
 from oracles.sgns_reference import apply_batch, log_sigmoid, sigmoid, sgns_step
 
@@ -411,3 +419,64 @@ def test_train_byte_identical_for_fixed_seed_d128():
     b = train(walks, params)
     assert a.vectors.tobytes() == b.vectors.tobytes()
     assert a.out_vectors.tobytes() == b.out_vectors.tobytes()
+
+
+# 2**16 - 1 and 2**16 take one 16-bit pass, 2**16 + 1 and 10**6 two
+ROW_COUNTS = [1, 2**16 - 1, 2**16, 2**16 + 1, 10**6]
+
+
+@st.composite
+def row_ids(draw):
+    """(rows, n_rows): a few distinct ids, the digit edges among them, each
+    drawn many times, so that ties are the rule."""
+    n_rows = draw(st.sampled_from(ROW_COUNTS))
+    edges = [0, n_rows - 1, min(2**16 - 1, n_rows - 1), min(2**16, n_rows - 1)]
+    ids = st.one_of(st.sampled_from(edges), st.integers(0, n_rows - 1))
+    pool = draw(st.lists(ids, min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=3000))
+    return np.array(rows, np.int32), n_rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_ids())
+@example((np.array([], np.int32), 1))
+@example((np.array([], np.int32), 10**6))
+@example((np.array([0], np.int32), 1))
+@example((np.array([10**6 - 1], np.int32), 10**6))
+@example((np.full(5000, 2**16, np.int32), 2**16 + 1))
+@example((np.full(5000, 2**16 - 1, np.int32), 2**16))
+def test_row_order_is_stable_argsort(case):
+    rows, n_rows = case
+    assert np.array_equal(_row_order(rows, n_rows), np.argsort(rows, kind="stable"))
+
+
+def test_train_bytes_agree_with_avx512_kernels_disabled():
+    # np.argsort's default tie order depends on the SIMD kernels numpy
+    # dispatches to; the row order of _segment_add must not
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    avx512 = [t for t in __cpu_dispatch__
+              if (t.startswith("AVX512") or t == "X86_V4") and __cpu_features__.get(t)]
+    if not avx512:
+        pytest.skip("numpy dispatches no AVX-512 kernel on this host")
+    script = textwrap.dedent("""
+        import hashlib, numpy as np
+        from fane import TrainParams, train
+        walks = np.random.default_rng(3).integers(0, 300, size=(400, 20))
+        emb = train(walks, TrainParams(dimension=8, window=5, epochs=2, learning_rate=0.2))
+        for a in (emb.vectors, emb.out_vectors):
+            print(hashlib.sha256(a.tobytes()).hexdigest())
+        print(*map(repr, emb.epoch_losses))
+    """)
+    src = str(Path(sgns.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = src
+    runs = []
+    for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}):
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={**env, **disabled}, check=True, timeout=300)
+        runs.append(out.stdout.split("\n"))
+    assert runs[0][:2] == runs[1][:2]
+    # the loss terms take np.log1p, whose AVX-512 kernel rounds differently
+    # from the AVX2 one; the gradients do not use it
+    losses = [np.array(r[2].split(), float) for r in runs]
+    np.testing.assert_allclose(losses[0], losses[1], rtol=1e-6)
