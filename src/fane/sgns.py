@@ -6,14 +6,19 @@ uniform size 1..k around each walk position, with negatives drawn from the
 unigram^0.75 noise distribution, each pair drawing its own negatives.
 Training is one sequential loop, byte-reproducible for a fixed seed: every
 epoch draws its windows, subsampling and walk order from its own stream,
-and mini-batches apply the gradients of sgns_gradients in order; each
-side's row updates are summed by np.add.reduceat, a row's entries in the
-order the batch made them (stable radix passes, _row_order), so AVX-512 and
-AVX2 hosts give the same vectors. Their losses differ in the last bits
-(np.log1p rounds differently), and builds without AVX2 give other vectors
-(other float32 kernels round differently). A batch holds vc and d_in at
-(B, d), one slice of its negative rows and one piece of its sorted updates,
-each about _SLICE_ELEMENTS floats; slicing changes no bit of the result.
+and mini-batches apply the gradients of sgns_gradients in order. Each
+side's row updates are sorted by row, a row's entries kept in the order the
+batch made them (stable radix passes, _row_order), and summed by one of two
+kernels chosen by the width d: below _BUCKET_MIN_DIM (32) floats by
+np.add.reduceat, in numpy's pairwise order, which is cheapest when a row
+has few floats; from 32 floats on one entry after another in batch order,
+from power-of-two buckets of rows, which makes a few numpy calls per bucket
+instead of one per (row, column). Either order is the same on AVX-512 and
+AVX2 hosts, and so are the losses (log1p runs in float64); builds without
+AVX2 give other vectors (other float32 kernels round differently). A batch
+holds vc and d_in at (B, d), one slice of its negative rows and one piece
+of its sorted updates, each about _SLICE_ELEMENTS floats; slicing changes
+no bit of the result.
 Everything is keyed by vocabulary position (first appearance in the
 corpus), so relabeling node ids permutes the output rows and nothing else.
 """
@@ -31,6 +36,7 @@ _EPOCH_STREAM = 10
 _CHUNK_WALKS = 1024     # walks whose pairs are drawn, shuffled and trained together
 _BATCH_PAIRS = 8192     # pairs per _apply_batch call, at most
 _SLICE_ELEMENTS = 1 << 19  # floats a slice of an _apply_batch pass gathers (2 MB)
+_BUCKET_MIN_DIM = 32    # row width from which _segment_add sums runs in power-of-two buckets
 _COUNT_SLICE = 1 << 16  # corpus tokens per np.bincount call in build_vocabulary
 
 
@@ -87,11 +93,13 @@ def build_vocabulary(walks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _log_sigmoid(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log sigma(y) and its derivative 1 - sigma(y) = sigma(-y), both from
-    one exp(-|y|) and stable at any |y|."""
+    one exp(-|y|) and stable at any |y|. log1p runs in float64: numpy's
+    float32 log1p rounds differently on AVX-512 and AVX2 hosts, and its
+    float64 result rounded to float32 does not."""
     e = np.abs(y)
     np.exp(np.negative(e, out=e), out=e)
     log_sig = np.minimum(y, 0.0)
-    log_sig -= np.log1p(e)
+    log_sig -= np.log1p(e, dtype=np.float64).astype(y.dtype)
     slope = np.where(y >= 0, e, 1.0)
     slope /= np.add(e, 1.0, out=e)
     return log_sig, slope
@@ -386,30 +394,82 @@ def _segment_add(target, rows, src, src_idx, coef, lr) -> None:
     """target[r] += lr * min(1, 1/(lr*m)) * sum of coef[i] * src[src_idx[i]]
     over the m entries i with rows[i] == r (coef None means 1).
 
-    Sorting by row makes each row's entries one run; gathered as the columns
-    of a C-ordered (d, n) block, every run is summed whole along the
-    contiguous axis by np.add.reduceat, in pieces of about _SLICE_ELEMENTS
-    floats that end on run boundaries.
+    Sorting by row makes each row's entries one run, in batch order. Rows
+    narrower than _BUCKET_MIN_DIM floats sum each run by np.add.reduceat
+    (_add_runs_reduceat); wider rows sum it one entry after another
+    (_add_runs_bucketed). Either way a run is summed whole, a piece of
+    about _SLICE_ELEMENTS floats at a time.
     """
     order = _row_order(rows, len(target))
     rows = np.take(rows, order)
     starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-    ends = np.append(starts[1:], len(rows))
-    scale = (lr * np.minimum(1.0, 1.0 / (lr * (ends - starts)))).astype(np.float32)
+    heads = np.take(rows, starts)   # distinct target rows, one per run
+    rows = None
+    src_idx = np.take(src_idx, order)
+    coef = None if coef is None else np.take(coef, order)
+    counts = np.diff(np.append(starts, len(order)))
+    order = None
+    scale = (lr * np.minimum(1.0, 1.0 / (lr * counts))).astype(np.float32)
+    kernel = _add_runs_reduceat if src.shape[1] < _BUCKET_MIN_DIM else _add_runs_bucketed
+    kernel(target, heads, starts, counts, scale, src, src_idx, coef)
+
+
+def _add_runs_reduceat(target, heads, starts, counts, scale, src, src_idx, coef) -> None:
+    """Runs gathered as the columns of a C-ordered (d, n) block and summed
+    whole along the contiguous axis by np.add.reduceat (numpy's pairwise
+    order), in pieces of about _SLICE_ELEMENTS floats that end on run
+    boundaries. One inner-loop call per (run, column): cheap at small d."""
     src_t = _transposed(src)
     piece = max(1, _SLICE_ELEMENTS // src.shape[1])   # entries; each piece ends at a run start
-    bounds = np.unique(np.append(np.searchsorted(starts, np.arange(0, len(rows), piece)), len(starts)))
+    bounds = np.unique(np.append(np.searchsorted(starts, np.arange(0, len(src_idx), piece)),
+                                 len(starts)))
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
-        entries = order[starts[r0]:ends[r1 - 1]]
-        block = np.take(src_t, np.take(src_idx, entries), axis=1)
+        e0, e1 = starts[r0], starts[r1 - 1] + counts[r1 - 1]
+        block = np.take(src_t, src_idx[e0:e1], axis=1)
         if coef is not None:
-            block *= np.take(coef, entries)
-        acc = np.add.reduceat(block, starts[r0:r1] - starts[r0], axis=1)
+            block *= coef[e0:e1]
+        acc = np.add.reduceat(block, starts[r0:r1] - e0, axis=1)
         acc *= scale[r0:r1]
-        r = rows[starts[r0:r1]]   # distinct, so a gather, add and write is target[r] += acc.T
-        upd = np.take(target, r, axis=0)
-        upd += acc.T
-        target[r] = upd
+        _add_rows(target, heads[r0:r1], acc.T)
+
+
+def _add_runs_bucketed(target, heads, starts, counts, scale, src, src_idx, coef) -> None:
+    """Runs grouped by width W = 2**ceil(log2 m); R runs of a group are
+    gathered as an (R, W, d) block, padded slots weighted 0, and summed by
+    one .sum(axis=1). With d > 1 numpy iterates d innermost, so each run's
+    entries are added one after another in batch order, from zero (at d=1
+    it would sum pairwise). A run longer than a piece is summed a piece at
+    a time, its sum so far added into the next piece's first slot, which
+    keeps the order."""
+    cap = max(1, _SLICE_ELEMENTS // src.shape[1])   # entries per piece
+    widths = np.frexp(counts - 1)[1]                  # m <= 2**widths
+    for w in np.unique(widths):
+        runs = np.flatnonzero(widths == w)
+        per_piece = max(1, cap // (1 << int(w)))
+        for p in range(0, len(runs), per_piece):
+            sel = runs[p:p + per_piece]
+            first, m = starts[sel, None], counts[sel, None]
+            longest, acc = int(m.max()), None
+            for w0 in range(0, longest, cap):
+                slot = np.arange(w0, min(w0 + cap, longest))
+                pad = slot >= m
+                pos = np.where(pad, first, first + slot)
+                wts = np.ones(pos.shape, np.float32) if coef is None else np.take(coef, pos)
+                wts[pad] = 0.0
+                block = np.take(src, np.take(src_idx, pos), axis=0)
+                block *= wts[..., None]
+                if acc is not None:
+                    block[:, 0] += acc
+                acc = block.sum(axis=1)
+            acc *= scale[sel, None]
+            _add_rows(target, heads[sel], acc)
+
+
+def _add_rows(target, r, acc) -> None:
+    """target[r] += acc for distinct rows r, as one gather, add and write."""
+    upd = np.take(target, r, axis=0)
+    upd += acc
+    target[r] = upd
 
 
 def _row_order(rows: np.ndarray, n_rows: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from fane import EmbeddingMatrix, TrainParams, build_vocabulary, sgns, train
 from fane.sgns import (_apply_batch, _epoch_draws, _log_sigmoid, _pairs_for_chunk, _row_order,
                        sgns_gradients)
-from oracles import unsliced_batch
+from oracles import row_loop, unsliced_batch
 from oracles.sgns_reference import apply_batch, log_sigmoid, sigmoid, sgns_step
 
 
@@ -323,8 +324,9 @@ def test_apply_batch_matches_bincount_reference(d, lr):
 
 # A slice of 7 pairs and pieces of 7k entries: B=300 ends on a partial
 # slice, V=7 gives runs of about 260 out-entries that cross many piece
-# boundaries, V=60 pieces that hold several runs each.
-@pytest.mark.parametrize("d", [1, 8, 128])
+# boundaries, V=60 pieces that hold several runs each. d=31 and d=32 sit on
+# either side of the switch from np.add.reduceat to sequential sums.
+@pytest.mark.parametrize("d", [1, 8, 31, 32, 128])
 @pytest.mark.parametrize("lr", [1e-3, 0.2])
 @pytest.mark.parametrize("V", [7, 60])
 def test_sliced_batch_is_byte_identical_to_unsliced(monkeypatch, d, lr, V):
@@ -342,14 +344,49 @@ def test_sliced_batch_is_byte_identical_to_unsliced(monkeypatch, d, lr, V):
 
 
 def test_train_byte_identical_at_any_slice_size(monkeypatch):
+    # d=16 sums rows by np.add.reduceat, d=128 entry by entry
     walks = np.random.default_rng(29).integers(0, 80, size=(200, 15))
-    params = TrainParams(dimension=16, window=3, epochs=2, seed=4, learning_rate=0.2)
-    a = train(walks, params)
-    monkeypatch.setattr(sgns, "_SLICE_ELEMENTS", 3 * params.negatives * params.dimension)
-    b = train(walks, params)
-    assert a.vectors.tobytes() == b.vectors.tobytes()
-    assert a.out_vectors.tobytes() == b.out_vectors.tobytes()
-    assert a.epoch_losses == b.epoch_losses
+    full = sgns._SLICE_ELEMENTS
+    for d in (16, 128):
+        params = TrainParams(dimension=d, window=3, epochs=2, seed=4, learning_rate=0.2)
+        monkeypatch.setattr(sgns, "_SLICE_ELEMENTS", full)
+        a = train(walks, params)
+        monkeypatch.setattr(sgns, "_SLICE_ELEMENTS", 3 * params.negatives * params.dimension)
+        b = train(walks, params)
+        assert a.vectors.tobytes() == b.vectors.tobytes()
+        assert a.out_vectors.tobytes() == b.out_vectors.tobytes()
+        assert a.epoch_losses == b.epoch_losses
+
+
+@st.composite
+def row_runs(draw):
+    """(d, piece, rows, seed): runs of 1 to past one piece of entries, or a
+    single row that holds every entry, interleaved in a drawn batch order."""
+    d = draw(st.sampled_from([32, 33, 128]))
+    piece = draw(st.integers(1, 24))   # entries per piece of _segment_add
+    lengths = draw(st.one_of(st.lists(st.integers(1, 3 * piece + 2), min_size=1, max_size=10),
+                             st.integers(1, 3 * piece + 2).map(lambda m: [m])))
+    rows = np.repeat(np.arange(len(lengths), dtype=np.int32) * 2 + 1, lengths)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return d, piece, np.random.default_rng(seed).permutation(rows), seed
+
+
+@settings(max_examples=120, deadline=None)
+@given(row_runs(), st.booleans(), st.sampled_from([1e-3, 0.2]))
+@example((128, 1, np.full(70, 1, np.int32), 0), True, 0.2)   # one row, 70 pieces
+@example((32, 24, np.full(70, 1, np.int32), 1), False, 1e-3)
+def test_segment_add_sums_wide_rows_entry_after_entry(case, with_coef, lr):
+    d, piece, rows, seed = case
+    rng = np.random.default_rng(seed)
+    target = rng.normal(size=(int(rows.max()) + 2, d)).astype(np.float32)
+    src = rng.normal(size=(50, d)).astype(np.float32)
+    src_idx = rng.integers(0, len(src), len(rows)).astype(np.int32)
+    coef = rng.normal(size=len(rows)).astype(np.float32) if with_coef else None
+    want = target.copy()
+    row_loop.segment_add(want, rows, src, src_idx, coef, lr)
+    with mock.patch.object(sgns, "_SLICE_ELEMENTS", piece * d):
+        sgns._segment_add(target, rows, src, src_idx, coef, lr)
+    assert target.tobytes() == want.tobytes()
 
 
 def _traced_peak(kernel, batch, lr=0.2) -> int:
@@ -451,8 +488,9 @@ def test_row_order_is_stable_argsort(case):
 
 
 def test_train_bytes_agree_with_avx512_kernels_disabled():
-    # np.argsort's default tie order depends on the SIMD kernels numpy
-    # dispatches to; the row order of _segment_add must not
+    # np.argsort's default tie order and float32 np.log1p depend on the SIMD
+    # kernels numpy dispatches to; the row order of _segment_add and the
+    # loss must not. d=8 sums rows by np.add.reduceat, d=128 entry by entry
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     avx512 = [t for t in __cpu_dispatch__
               if (t.startswith("AVX512") or t == "X86_V4") and __cpu_features__.get(t)]
@@ -462,10 +500,11 @@ def test_train_bytes_agree_with_avx512_kernels_disabled():
         import hashlib, numpy as np
         from fane import TrainParams, train
         walks = np.random.default_rng(3).integers(0, 300, size=(400, 20))
-        emb = train(walks, TrainParams(dimension=8, window=5, epochs=2, learning_rate=0.2))
-        for a in (emb.vectors, emb.out_vectors):
-            print(hashlib.sha256(a.tobytes()).hexdigest())
-        print(*map(repr, emb.epoch_losses))
+        for d in (8, 128):
+            emb = train(walks, TrainParams(dimension=d, window=5, epochs=2, learning_rate=0.2))
+            for a in (emb.vectors, emb.out_vectors):
+                print(hashlib.sha256(a.tobytes()).hexdigest())
+            print(*map(repr, emb.epoch_losses))
     """)
     src = str(Path(sgns.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
@@ -475,8 +514,4 @@ def test_train_bytes_agree_with_avx512_kernels_disabled():
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env={**env, **disabled}, check=True, timeout=300)
         runs.append(out.stdout.split("\n"))
-    assert runs[0][:2] == runs[1][:2]
-    # the loss terms take np.log1p, whose AVX-512 kernel rounds differently
-    # from the AVX2 one; the gradients do not use it
-    losses = [np.array(r[2].split(), float) for r in runs]
-    np.testing.assert_allclose(losses[0], losses[1], rtol=1e-6)
+    assert len(runs[0]) == 7 and runs[0] == runs[1]
