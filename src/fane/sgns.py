@@ -8,17 +8,15 @@ Training is one sequential loop, byte-reproducible for a fixed seed: every
 epoch draws its windows, subsampling and walk order from its own stream,
 and mini-batches apply the gradients of sgns_gradients in order. Each
 side's row updates are sorted by row, a row's entries kept in the order the
-batch made them (stable radix passes, _row_order), and summed by one of two
-kernels chosen by the width d: below _BUCKET_MIN_DIM (32) floats by
-np.add.reduceat, in numpy's pairwise order, which is cheapest when a row
-has few floats; from 32 floats on one entry after another in batch order,
-from power-of-two buckets of rows, which makes a few numpy calls per bucket
-instead of one per (row, column). Either order is the same on AVX-512 and
-AVX2 hosts, and so are the losses (log1p runs in float64); builds without
-AVX2 give other vectors (other float32 kernels round differently). A batch
-holds vc and d_in at (B, d), one slice of its negative rows and one piece
-of its sorted updates, each about _SLICE_ELEMENTS floats; slicing changes
-no bit of the result.
+batch made them (stable radix passes, _row_order), and summed one entry
+after another in batch order, from power-of-two buckets of rows, which
+makes a few numpy calls per bucket instead of one per (row, column). That
+order is the same at every width d and on AVX-512 and AVX2 hosts, and so
+are the losses (log1p runs in float64); builds without AVX2 give other
+vectors (other float32 kernels round differently). A batch holds vc and
+d_in at (B, d), one slice of its negative rows and one piece of its sorted
+updates, each about _SLICE_ELEMENTS floats; slicing changes no bit of the
+result.
 Everything is keyed by vocabulary position (first appearance in the
 corpus), so relabeling node ids permutes the output rows and nothing else.
 """
@@ -36,7 +34,6 @@ _EPOCH_STREAM = 10
 _CHUNK_WALKS = 1024     # walks whose pairs are drawn, shuffled and trained together
 _BATCH_PAIRS = 8192     # pairs per _apply_batch call, at most
 _SLICE_ELEMENTS = 1 << 19  # floats a slice of an _apply_batch pass gathers (2 MB)
-_BUCKET_MIN_DIM = 32    # row width from which _segment_add sums runs in power-of-two buckets
 _COUNT_SLICE = 1 << 16  # corpus tokens per np.bincount call in build_vocabulary
 
 
@@ -394,11 +391,9 @@ def _segment_add(target, rows, src, src_idx, coef, lr) -> None:
     """target[r] += lr * min(1, 1/(lr*m)) * sum of coef[i] * src[src_idx[i]]
     over the m entries i with rows[i] == r (coef None means 1).
 
-    Sorting by row makes each row's entries one run, in batch order. Rows
-    narrower than _BUCKET_MIN_DIM floats sum each run by np.add.reduceat
-    (_add_runs_reduceat); wider rows sum it one entry after another
-    (_add_runs_bucketed). Either way a run is summed whole, a piece of
-    about _SLICE_ELEMENTS floats at a time.
+    Sorting by row makes each row's entries one run, in batch order, and
+    _add_runs_bucketed sums each run whole, one entry after another, a
+    piece of about _SLICE_ELEMENTS floats at a time.
     """
     order = _row_order(rows, len(target))
     rows = np.take(rows, order)
@@ -410,63 +405,69 @@ def _segment_add(target, rows, src, src_idx, coef, lr) -> None:
     counts = np.diff(np.append(starts, len(order)))
     order = None
     scale = (lr * np.minimum(1.0, 1.0 / (lr * counts))).astype(np.float32)
-    kernel = _add_runs_reduceat if src.shape[1] < _BUCKET_MIN_DIM else _add_runs_bucketed
-    kernel(target, heads, starts, counts, scale, src, src_idx, coef)
-
-
-def _add_runs_reduceat(target, heads, starts, counts, scale, src, src_idx, coef) -> None:
-    """Runs gathered as the columns of a C-ordered (d, n) block and summed
-    whole along the contiguous axis by np.add.reduceat (numpy's pairwise
-    order), in pieces of about _SLICE_ELEMENTS floats that end on run
-    boundaries. One inner-loop call per (run, column): cheap at small d."""
-    src_t = _transposed(src)
-    piece = max(1, _SLICE_ELEMENTS // src.shape[1])   # entries; each piece ends at a run start
-    bounds = np.unique(np.append(np.searchsorted(starts, np.arange(0, len(src_idx), piece)),
-                                 len(starts)))
-    for r0, r1 in zip(bounds[:-1], bounds[1:]):
-        e0, e1 = starts[r0], starts[r1 - 1] + counts[r1 - 1]
-        block = np.take(src_t, src_idx[e0:e1], axis=1)
-        if coef is not None:
-            block *= coef[e0:e1]
-        acc = np.add.reduceat(block, starts[r0:r1] - e0, axis=1)
-        acc *= scale[r0:r1]
-        _add_rows(target, heads[r0:r1], acc.T)
+    _add_runs_bucketed(target, heads, starts, counts, scale, src, src_idx, coef)
 
 
 def _add_runs_bucketed(target, heads, starts, counts, scale, src, src_idx, coef) -> None:
-    """Runs grouped by width W = 2**ceil(log2 m); R runs of a group are
-    gathered as an (R, W, d) block, padded slots weighted 0, and summed by
-    one .sum(axis=1). With d > 1 numpy iterates d innermost, so each run's
-    entries are added one after another in batch order, from zero (at d=1
-    it would sum pairwise). A run longer than a piece is summed a piece at
-    a time, its sum so far added into the next piece's first slot, which
-    keeps the order."""
-    cap = max(1, _SLICE_ELEMENTS // src.shape[1])   # entries per piece
-    widths = np.frexp(counts - 1)[1]                  # m <= 2**widths
-    for w in np.unique(widths):
-        runs = np.flatnonzero(widths == w)
-        per_piece = max(1, cap // (1 << int(w)))
-        for p in range(0, len(runs), per_piece):
-            sel = runs[p:p + per_piece]
-            first, m = starts[sel, None], counts[sel, None]
-            longest, acc = int(m.max()), None
-            for w0 in range(0, longest, cap):
-                slot = np.arange(w0, min(w0 + cap, longest))
-                pad = slot >= m
-                pos = np.where(pad, first, first + slot)
-                wts = np.ones(pos.shape, np.float32) if coef is None else np.take(coef, pos)
-                wts[pad] = 0.0
-                block = np.take(src, np.take(src_idx, pos), axis=0)
-                block *= wts[..., None]
-                if acc is not None:
-                    block[:, 0] += acc
-                acc = block.sum(axis=1)
-            acc *= scale[sel, None]
-            _add_rows(target, heads[sel], acc)
+    """Runs laid out W = 2**ceil(log2 m) slots each and grouped by W, padded
+    slots weighted 0. R runs of one width are gathered as an (R, W, d) block
+    and weighted and summed by one einsum. With d > 1 numpy iterates d
+    innermost, so each run's entries are added one after another in batch
+    order, from zero; at d = 1 einsum drops the unit axis and sums
+    pairwise, so there the slots are added one by one. A run wider than a
+    piece is summed a piece at a time, its sum so far carried into the next
+    piece as a leading slot of weight 1, which keeps the order. The slot
+    layout is built for all runs at once, and the sums are scaled and added
+    to target a buffer of up to a piece's rows at a time, so a small batch
+    costs a gather and an einsum per width."""
+    d = src.shape[1]
+    cap = max(1, _SLICE_ELEMENTS // d)   # slots per piece, rows per buffer
+    exps = np.frexp(counts - 1)[1]       # m <= W = 2**exps
+    runs = np.argsort(exps, kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(exps)).tolist()]   # width 2**e: runs bounds[e:e + 2]
+    widths = 1 << np.take(exps, runs)
+    heads, scale = np.take(heads, runs), np.take(scale, runs)
+    first = np.cumsum(widths, dtype=np.int32) - widths   # each run's first slot
+    # the entry each slot holds, -1 for padding; built in place, as it is slot-sized
+    pos = np.arange(first[-1] + widths[-1], dtype=np.int32)
+    pos -= np.repeat(first, widths)
+    pad = pos >= np.repeat(np.take(counts, runs).astype(np.int32), widths)
+    pos += np.repeat(np.take(starts, runs).astype(np.int32), widths)
+    pos[pad] = -1
+    wts = np.ones(len(pos), np.float32) if coef is None else np.take(coef, pos)
+    wts[pad] = 0.0
+    idx = np.take(src_idx, pos)
+    pad = pos = None
+    sums, done = np.empty((min(len(runs), cap), d), np.float32), 0   # runs [done, r) in sums
+    for e, (g0, g1) in enumerate(zip(bounds, bounds[1:])):
+        w, per_piece = 1 << e, max(1, cap >> e)
+        for r in range(g0, g1, per_piece):
+            R, s, acc = min(per_piece, g1 - r), int(first[r]), None
+            if r + R - done > len(sums):
+                _add_rows(target, heads[done:r], sums[:r - done], scale[done:r])
+                done = r
+            for w0 in range(0, w, cap):   # one window unless a lone run is wider than a piece
+                carry = acc is not None      # the sum so far goes in the slot before the window
+                lo, hi = s + w0 - carry, s + (R - 1) * w + min(w0 + cap, w)
+                wt = wts[lo:hi].reshape(R, -1)
+                block = np.take(src, idx[lo:hi], axis=0).reshape(R, -1, d)
+                if carry:
+                    wt = wt.copy()
+                    block[:, 0], wt[:, 0] = acc, 1.0
+                if d > 1:
+                    acc = np.einsum("rw,rwd->rd", wt, block)
+                else:
+                    acc = np.zeros((R, 1), np.float32)
+                    for j in range(wt.shape[1]):
+                        acc += wt[:, j, None] * block[:, j]
+            sums[r - done:r - done + R] = acc
+    _add_rows(target, heads[done:], sums[:len(runs) - done], scale[done:])
 
 
-def _add_rows(target, r, acc) -> None:
-    """target[r] += acc for distinct rows r, as one gather, add and write."""
+def _add_rows(target, r, acc, scale) -> None:
+    """target[r] += acc * scale[:, None] for distinct rows r, as one gather,
+    add and write; acc is scaled in place."""
+    acc *= scale[:, None]
     upd = np.take(target, r, axis=0)
     upd += acc
     target[r] = upd
@@ -482,12 +483,3 @@ def _row_order(rows: np.ndarray, n_rows: int) -> np.ndarray:
         order = np.take(order, np.argsort(digit, kind="stable"))
     return order
 
-
-def _transposed(x: np.ndarray) -> np.ndarray:
-    """C-ordered copy of x.T, a band of rows at a time: in one strided copy,
-    power-of-two row strides thrash the cache (5x slower at (8192, 128))."""
-    out = np.empty(x.shape[::-1], x.dtype)
-    step = max(1, 8192 // x.shape[1])
-    for i in range(0, len(x), step):
-        out[:, i:i + step] = x[i:i + step].T
-    return out

@@ -1,9 +1,9 @@
 """A row's summed update, one entry at a time.
 
-``segment_add`` is what ``fane.sgns._segment_add`` computes for rows of at
-least ``_BUCKET_MIN_DIM`` floats, written as a Python loop: each target
-row's entries are added in turn, in the order the batch made them,
-starting from zero, and the sum is then scaled and added to the row.
+``segment_add`` is what ``fane.sgns._segment_add`` computes at every row
+width, written as a Python loop: each target row's entries are added in
+turn, in the order the batch made them, starting from zero, and the sum is
+then scaled and added to the row.
 """
 
 import numpy as np

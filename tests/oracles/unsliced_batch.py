@@ -6,16 +6,13 @@ each built in full. The shipped ``fane.sgns._apply_batch`` does the same
 arithmetic a slice of pairs and a piece of sorted entries at a time, so its
 in-vectors, out-vectors and loss must equal these bit for bit. The stable
 sort in ``segment_add`` defines the canonical order of a row's entries:
-the order the batch made them. Rows narrower than ``sgns._BUCKET_MIN_DIM``
-floats sum each row's entries by ``np.add.reduceat`` (numpy's pairwise
-order); wider rows add them one after another in that order, starting
-from zero.
+the order the batch made them. Every row's entries are added one after
+another in that order, starting from zero, at every width.
 """
 
 import numpy as np
 
-from fane import sgns
-from fane.sgns import _log_sigmoid, _transposed
+from fane.sgns import _log_sigmoid
 
 
 def apply_batch(in_vecs, out_vecs, centers, contexts, negs, lr) -> float:
@@ -42,14 +39,10 @@ def segment_add(target, rows, src, src_idx, coef, lr) -> None:
     rows = rows[order]
     starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
     m = np.diff(np.append(starts, len(rows)))
-    block = np.take(_transposed(src), src_idx[order], axis=1)
+    block = src[src_idx[order]]
     if coef is not None:
-        block *= coef[order]
-    if src.shape[1] >= sgns._BUCKET_MIN_DIM:
-        acc = np.zeros((len(starts), src.shape[1]), np.float32)
-        np.add.at(acc, np.repeat(np.arange(len(starts)), m), block.T)   # entry after entry
-        acc = acc.T
-    else:
-        acc = np.add.reduceat(block, starts, axis=1)
-    acc *= (lr * np.minimum(1.0, 1.0 / (lr * m))).astype(np.float32)
-    target[rows[starts]] += acc.T
+        block *= coef[order, None]
+    acc = np.zeros((len(starts), src.shape[1]), np.float32)
+    np.add.at(acc, np.repeat(np.arange(len(starts)), m), block)   # entry after entry
+    acc *= (lr * np.minimum(1.0, 1.0 / (lr * m))).astype(np.float32)[:, None]
+    target[rows[starts]] += acc

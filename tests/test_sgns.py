@@ -324,8 +324,8 @@ def test_apply_batch_matches_bincount_reference(d, lr):
 
 # A slice of 7 pairs and pieces of 7k entries: B=300 ends on a partial
 # slice, V=7 gives runs of about 260 out-entries that cross many piece
-# boundaries, V=60 pieces that hold several runs each. d=31 and d=32 sit on
-# either side of the switch from np.add.reduceat to sequential sums.
+# boundaries, V=60 pieces that hold several runs each. d=1 sums slot by
+# slot, every other width by einsum.
 @pytest.mark.parametrize("d", [1, 8, 31, 32, 128])
 @pytest.mark.parametrize("lr", [1e-3, 0.2])
 @pytest.mark.parametrize("V", [7, 60])
@@ -344,7 +344,7 @@ def test_sliced_batch_is_byte_identical_to_unsliced(monkeypatch, d, lr, V):
 
 
 def test_train_byte_identical_at_any_slice_size(monkeypatch):
-    # d=16 sums rows by np.add.reduceat, d=128 entry by entry
+    # d=16 and d=128: one row's entries span pieces at the small slice size
     walks = np.random.default_rng(29).integers(0, 80, size=(200, 15))
     full = sgns._SLICE_ELEMENTS
     for d in (16, 128):
@@ -362,7 +362,7 @@ def test_train_byte_identical_at_any_slice_size(monkeypatch):
 def row_runs(draw):
     """(d, piece, rows, seed): runs of 1 to past one piece of entries, or a
     single row that holds every entry, interleaved in a drawn batch order."""
-    d = draw(st.sampled_from([32, 33, 128]))
+    d = draw(st.sampled_from([1, 2, 3, 8, 31, 32, 128]))
     piece = draw(st.integers(1, 24))   # entries per piece of _segment_add
     lengths = draw(st.one_of(st.lists(st.integers(1, 3 * piece + 2), min_size=1, max_size=10),
                              st.integers(1, 3 * piece + 2).map(lambda m: [m])))
@@ -375,7 +375,8 @@ def row_runs(draw):
 @given(row_runs(), st.booleans(), st.sampled_from([1e-3, 0.2]))
 @example((128, 1, np.full(70, 1, np.int32), 0), True, 0.2)   # one row, 70 pieces
 @example((32, 24, np.full(70, 1, np.int32), 1), False, 1e-3)
-def test_segment_add_sums_wide_rows_entry_after_entry(case, with_coef, lr):
+@example((1, 5, np.full(70, 1, np.int32), 2), True, 0.2)
+def test_segment_add_sums_every_width_entry_after_entry(case, with_coef, lr):
     d, piece, rows, seed = case
     rng = np.random.default_rng(seed)
     target = rng.normal(size=(int(rows.max()) + 2, d)).astype(np.float32)
@@ -490,7 +491,7 @@ def test_row_order_is_stable_argsort(case):
 def test_train_bytes_agree_with_avx512_kernels_disabled():
     # np.argsort's default tie order and float32 np.log1p depend on the SIMD
     # kernels numpy dispatches to; the row order of _segment_add and the
-    # loss must not. d=8 sums rows by np.add.reduceat, d=128 entry by entry
+    # loss must not. d=1 sums rows slot by slot, d=8 and d=128 by einsum
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     avx512 = [t for t in __cpu_dispatch__
               if (t.startswith("AVX512") or t == "X86_V4") and __cpu_features__.get(t)]
@@ -500,7 +501,7 @@ def test_train_bytes_agree_with_avx512_kernels_disabled():
         import hashlib, numpy as np
         from fane import TrainParams, train
         walks = np.random.default_rng(3).integers(0, 300, size=(400, 20))
-        for d in (8, 128):
+        for d in (1, 8, 128):
             emb = train(walks, TrainParams(dimension=d, window=5, epochs=2, learning_rate=0.2))
             for a in (emb.vectors, emb.out_vectors):
                 print(hashlib.sha256(a.tobytes()).hexdigest())
@@ -514,4 +515,4 @@ def test_train_bytes_agree_with_avx512_kernels_disabled():
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env={**env, **disabled}, check=True, timeout=300)
         runs.append(out.stdout.split("\n"))
-    assert len(runs[0]) == 7 and runs[0] == runs[1]
+    assert len(runs[0]) == 10 and runs[0] == runs[1]
