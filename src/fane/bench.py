@@ -150,7 +150,6 @@ class BenchResult:
     rows: list[dict] = field(default_factory=list)   # series, size, stage, median_seconds
     node_fit: FitResult | None = None
     attr_fit: FitResult | None = None
-    peak_table_entries: int = 0
 
     def save_csv(self, path, series: str) -> None:
         """Spec'd columns (size, stage, median_seconds, workers) for one series;
@@ -179,7 +178,7 @@ def ols_fit(x, y) -> FitResult | None:
 
 
 def _time_pipeline(g: AttributedGraph, spec: BenchSpec, seed: int):
-    """Run construct/preprocess/walk/train once; returns stage seconds + entries."""
+    """Run construct/preprocess/walk/train once; returns stage seconds."""
     wp = WalkParams(walk_length=spec.walk_length, walks_per_node=spec.walks_per_node,
                     seed=seed)
     tp = TrainParams(dimension=spec.dimension, window=spec.window, epochs=spec.epochs,
@@ -200,7 +199,7 @@ def _time_pipeline(g: AttributedGraph, spec: BenchSpec, seed: int):
     t0 = time.perf_counter()
     train(corpus.walks, tp)
     times["train"] = time.perf_counter() - t0
-    return times, model.n_precomputed_entries
+    return times
 
 
 def run_scaling(spec: BenchSpec, run_nodes: bool = True, run_attrs: bool = True) -> BenchResult:
@@ -218,9 +217,7 @@ def run_scaling(spec: BenchSpec, run_nodes: bool = True, run_attrs: bool = True)
                 else:
                     g = erdos_renyi(spec.attr_n_nodes, spec.mean_degree, seed)
                     g = attach_random_attributes(g, point, 2 * point, seed + 7)
-                times, entries = _time_pipeline(g, spec, seed)
-                result.peak_table_entries = max(result.peak_table_entries, entries)
-                reps.append(times)
+                reps.append(_time_pipeline(g, spec, seed))
             medians = {s: float(np.median([t[s] for t in reps])) for s in STAGES}
             total = sum(medians.values())
             size = point if series == "nodes" else point * spec.attr_n_nodes

@@ -66,19 +66,6 @@ _SCANNED[32:127] = True
 _SPACE = np.zeros(256, bool)
 _SPACE[[9, 10, 13, 32]] = True
 
-# A number is [+-]digits[.digits][(e|E)[+-]digits]. Byte classes: digit,
-# sign, dot, exponent mark, other; states: start, sign, digits, dot,
-# fraction, exponent mark, exponent sign, exponent digits, rejected.
-_NUM_CLASS = np.full(256, 4, np.int8)
-_NUM_CLASS[48:58] = 0
-_NUM_CLASS[[43, 45]] = 1
-_NUM_CLASS[46] = 2
-_NUM_CLASS[[69, 101]] = 3
-_NUM_NEXT = np.array([[2, 1, 8, 8, 8], [2, 8, 8, 8, 8], [2, 8, 3, 5, 8],
-                      [4, 8, 8, 8, 8], [4, 8, 8, 5, 8], [7, 6, 8, 8, 8],
-                      [7, 8, 8, 8, 8], [7, 8, 8, 8, 8], [8, 8, 8, 8, 8]], np.int8)
-_DECIMAL_END = (2, 4, 7)     # digits, fraction, exponent digits
-
 
 class _Declined(Exception):
     """The bulk scanner does not parse this input; the per-record parser will."""
@@ -87,16 +74,14 @@ class _Declined(Exception):
 def _read_once(source) -> tuple[bytes, object]:
     """The source's bytes, read once, and a source that gives the per-record
     parser the text the original source would have given it."""
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-        return data, io.BytesIO(data)   # decoded with universal newlines, as open() does
-    if isinstance(source, bytes):
-        return source, source
     if isinstance(source, io.TextIOBase):
         text = source.read()
         return text.encode("utf-8", "surrogatepass"), io.StringIO(text)
-    data = source.read()
-    return data, io.BytesIO(data)
+    if isinstance(source, (str, Path)):
+        source = Path(source).read_bytes()
+    elif not isinstance(source, bytes):
+        source = source.read()
+    return source, source
 
 
 @dataclass
@@ -202,18 +187,16 @@ def _integers(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarr
 
 
 def _decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Tokens of the form [+-]digits[.digits][(e|E)[+-]digits], at most
-    ``_NUMBER_BYTES`` long, as float64; the cast rounds as float() does."""
-    length = ends - starts
-    if (length > _NUMBER_BYTES).any():
+    """Tokens of at most ``_NUMBER_BYTES`` as float64. numpy's cast of an
+    ASCII token reads and rejects what float() reads and rejects, and
+    rounds as it does."""
+    width = int((ends - starts).max(initial=0))
+    if width > _NUMBER_BYTES:
         raise _Declined
-    state = np.zeros(len(starts), np.int8)
-    for j in range(int(length.max(initial=0))):
-        live = np.flatnonzero(length > j)
-        state[live] = _NUM_NEXT[state[live], _NUM_CLASS[buf[starts[live] + j]]]
-    if not np.isin(state, _DECIMAL_END).all():
-        raise _Declined
-    return _padded(buf, starts, ends, max(1, int(length.max(initial=0)))).astype(np.float64)
+    try:
+        return _padded(buf, starts, ends, max(1, width)).astype(np.float64)
+    except ValueError:
+        raise _Declined from None
 
 
 def _optional_decimals(b: _Block, k: int, default: float = 1.0) -> np.ndarray:
@@ -227,21 +210,6 @@ def _optional_decimals(b: _Block, k: int, default: float = 1.0) -> np.ndarray:
 def _positive_finite(x: np.ndarray) -> None:
     if not ((x > 0.0) & (x < math.inf)).all():
         raise _Declined
-
-
-def _sum_runs(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Sum of each run x[s:s + m], added left to right as repeated += adds."""
-    total = x[starts]
-    live = np.flatnonzero(sizes > 1)
-    k = 1
-    while len(live) > 8:
-        total[live] += x[starts[live] + k]
-        k += 1
-        live = live[sizes[live] > k]
-    for r in live.tolist():     # a few long runs: accumulate adds left to right too
-        rest = x[starts[r] + k:starts[r] + sizes[r]]
-        total[r] = np.add.accumulate(np.concatenate(([total[r]], rest)))[-1]
-    return total
 
 
 def read_records(source, kind: str, layout: str | None = None, sep: str | None = None):
@@ -317,12 +285,13 @@ def parse_sparse_attributes(source):
         yield lineno, fields[0], a, x
 
 
-def parse_dense_attributes(source, width: int | None = None):
+def parse_dense_attributes(source):
     """Yield (lineno, values) per row of a dense matrix, zeros included.
 
-    Every row has ``width`` columns, or as many as the first row if None;
-    values are non-negative and finite.
+    Every row has as many columns as the first row; values are non-negative
+    and finite.
     """
+    width = None
     for lineno, fields in read_records(source, "attribute"):
         if width is None:
             width = len(fields)
@@ -471,10 +440,12 @@ def _scan_edge_list(data: bytes) -> AttributedGraph:
     order = np.flatnonzero(~loop)
     order = order[np.argsort(key[order], kind="stable")]    # ties stay in file order
     key = key[order]
-    runs = np.flatnonzero(np.diff(key, prepend=-1))
+    head = np.diff(key, prepend=-1) != 0
+    runs = np.flatnonzero(head)
     if not len(runs):
         raise _Declined
-    wgt = _sum_runs(w[order], runs, np.diff(runs, append=len(key)))
+    wgt = np.zeros(len(runs))
+    np.add.at(wgt, np.cumsum(head) - 1, w[order])    # file order, as the records' +=
     src, dst = np.divmod(key[runs], n)
     linked = np.zeros(n, bool)
     linked[src] = linked[dst] = True
@@ -517,9 +488,7 @@ def _load_edge_records(source) -> AttributedGraph:
     src = np.fromiter((k[0] for k in keys), np.int32, len(keys))
     dst = np.fromiter((k[1] for k in keys), np.int32, len(keys))
     wgt = np.fromiter((merged[k] for k in keys), np.float64, len(keys))
-    names = [None] * len(ids)
-    for name, i in ids.items():
-        names[i] = name
+    names = list(ids)
     linked = np.zeros(len(ids), bool)
     linked[src] = linked[dst] = True
     lonely = [(line, u) for u, line in loop_line.items() if not linked[u]]
@@ -538,7 +507,7 @@ def _load_edge_records(source) -> AttributedGraph:
     )
 
 
-def load_attributes(source, g: AttributedGraph, fmt: str = "sparse", n_attrs: int | None = None) -> AttributedGraph:
+def load_attributes(source, g: AttributedGraph, fmt: str = "sparse") -> AttributedGraph:
     """Attach an attribute matrix to ``g`` from a sparse-triplet or dense file.
 
     Sparse format: "node attr [value]" per line, node in source-label space,
@@ -551,14 +520,14 @@ def load_attributes(source, g: AttributedGraph, fmt: str = "sparse", n_attrs: in
     if fmt == "sparse":
         data, source = _read_once(source)
         try:
-            g.n_attrs, g.attr_node, g.attr_id, g.attr_value = _scan_sparse_attributes(data, g, n_attrs)
+            g.n_attrs, g.attr_node, g.attr_id, g.attr_value = _scan_sparse_attributes(data, g)
             return g
         except _Declined:
             pass
-    return _load_attribute_records(source, g, fmt, n_attrs)
+    return _load_attribute_records(source, g, fmt)
 
 
-def _load_attribute_records(source, g: AttributedGraph, fmt: str, n_attrs: int | None) -> AttributedGraph:
+def _load_attribute_records(source, g: AttributedGraph, fmt: str) -> AttributedGraph:
     """load_attributes by the per-record parsers, which name a bad line."""
     nodes, attrs, values, lines = array("i"), array("i"), array("d"), array("q")
     if fmt == "sparse":
@@ -567,16 +536,14 @@ def _load_attribute_records(source, g: AttributedGraph, fmt: str, n_attrs: int |
             v = name_to_id.get(name)
             if v is None:
                 raise GraphFormatError(f"attribute line {lineno}: unknown node id {name!r}")
-            if n_attrs is not None and a >= n_attrs:
-                raise GraphFormatError(f"attribute line {lineno}: attribute index {a} >= {n_attrs}")
             nodes.append(v)
             attrs.append(a)
             values.append(x)
             lines.append(lineno)
-        m = n_attrs if n_attrs is not None else int(np.frombuffer(attrs, np.int32).max(initial=-1)) + 1
+        m = int(np.frombuffer(attrs, np.int32).max(initial=-1)) + 1
     else:
-        m = n_attrs or 0
-        for row, (lineno, row_values) in enumerate(parse_dense_attributes(source, n_attrs)):
+        m = 0
+        for row, (lineno, row_values) in enumerate(parse_dense_attributes(source)):
             if row >= g.n_nodes:
                 raise GraphFormatError(f"attribute line {lineno}: row {row} exceeds node count {g.n_nodes}")
             m = len(row_values)
@@ -610,11 +577,10 @@ def _known_nodes(g: AttributedGraph):
     return known
 
 
-def _scan_sparse_attributes(data: bytes, g: AttributedGraph, n_attrs: int | None):
+def _scan_sparse_attributes(data: bytes, g: AttributedGraph):
     """(n_attrs, nodes, attrs, values) of a sparse attribute file by the bulk
     scanner, sorted by (node, attr); raises _Declined on any fault."""
     known = _known_nodes(g)
-    bound = 1 << 31 if n_attrs is None else min(n_attrs, 1 << 31)
     size = data.count(b"\n") + 1    # at least the number of data lines
     nodes, attrs, values = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)
     filled = 0
@@ -622,7 +588,7 @@ def _scan_sparse_attributes(data: bytes, g: AttributedGraph, n_attrs: int | None
         rows = slice(filled, filled + len(b.head))
         nodes[rows] = _name_ids(b.buf, *b.field(0), known)
         a = _integers(b.buf, *b.field(1))
-        if ((a < 0) | (a >= bound)).any():
+        if ((a < 0) | (a >= 1 << 31)).any():
             raise _Declined
         attrs[rows] = a
         values[rows] = _optional_decimals(b, 2)
@@ -637,8 +603,7 @@ def _scan_sparse_attributes(data: bytes, g: AttributedGraph, n_attrs: int | None
     nodes, attrs = nodes[order], attrs[order]
     if ((nodes[1:] == nodes[:-1]) & (attrs[1:] == attrs[:-1])).any():
         raise _Declined
-    m = n_attrs if n_attrs is not None else int(attrs.max(initial=-1)) + 1
-    return int(m), nodes, attrs, values[order]
+    return int(attrs.max(initial=-1)) + 1, nodes, attrs, values[order]
 
 
 def _reject_duplicates(g: AttributedGraph, nodes, attrs, lines) -> None:
@@ -713,12 +678,10 @@ class AugmentedGraph:
         s, e = self.indptr[v], self.indptr[v + 1]
         return self.neighbors[s:e], self.weights[s:e]
 
-    def has_edge(self, u: int, x) -> bool | np.ndarray:
-        """Adjacency test against u's (sorted) neighbor list; vectorized over x."""
+    def has_edge(self, u: int, x) -> np.ndarray:
+        """Adjacency test against u's (sorted) neighbor list, a bool array
+        shaped like x."""
         nbrs = self.neighbors[self.indptr[u]:self.indptr[u + 1]]
-        if np.isscalar(x) or np.ndim(x) == 0:
-            pos = np.searchsorted(nbrs, x)
-            return bool(pos < len(nbrs) and nbrs[pos] == x)
         x = np.asarray(x)
         pos = np.searchsorted(nbrs, x)
         hit = pos < len(nbrs)

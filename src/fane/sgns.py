@@ -35,6 +35,7 @@ _CHUNK_WALKS = 1024     # walks whose pairs are drawn, shuffled and trained toge
 _BATCH_PAIRS = 8192     # pairs per _apply_batch call, at most
 _SLICE_ELEMENTS = 1 << 19  # floats a slice of an _apply_batch pass gathers (2 MB)
 _COUNT_SLICE = 1 << 16  # corpus tokens per np.bincount call in build_vocabulary
+_MIN_LEARNING_RATE = 1e-4  # floor of the linear learning-rate decay
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ class TrainParams:
     negatives: int = 5
     epochs: int = 5
     learning_rate: float = 0.025
-    min_learning_rate: float = 1e-4
     seed: int = 1
     subsample: float = 0.0      # 0 disables frequent-token subsampling
 
@@ -330,7 +330,7 @@ def train(walks: np.ndarray, params: TrainParams, key_fn=None) -> EmbeddingMatri
                                                        *uniforms[:, b0:b0 + batch_pairs])
             uniforms = None
             for b0 in range(0, len(centers), batch_pairs):
-                lr = max(params.min_learning_rate, params.learning_rate * (1.0 - (done + b0) / total_pairs))
+                lr = max(_MIN_LEARNING_RATE, params.learning_rate * (1.0 - (done + b0) / total_pairs))
                 b1 = b0 + batch_pairs
                 epoch_loss += _apply_batch(in_vecs, out_vecs, centers[b0:b1], contexts[b0:b1],
                                            negs[b0:b1], lr)
@@ -358,18 +358,15 @@ def _apply_batch(in_vecs, out_vecs, centers, contexts, negs, lr) -> float:
     B, k = negs.shape
     vc = np.take(in_vecs, centers, axis=0)
     step = max(1, _SLICE_ELEMENTS // (k * vc.shape[1]))
-    if step >= B:
-        log_sig, coef, d_in = _score(vc, np.take(out_vecs, contexts, axis=0),
-                                     np.take(out_vecs, negs, axis=0))
-    else:   # slices fill the batch's [pairs, negatives] layout, so the loss sums as unsliced
-        log_sig, coef = np.empty((2, B * (1 + k)), np.float32)
-        d_in = np.empty_like(vc)
-        for s in range(0, B, step):
-            t = min(s + step, B)
-            ls, cf, d_in[s:t] = _score(vc[s:t], np.take(out_vecs, contexts[s:t], axis=0),
-                                       np.take(out_vecs, negs[s:t], axis=0))
-            log_sig[s:t], log_sig[B + s * k:B + t * k] = ls[:t - s], ls[t - s:]
-            coef[s:t], coef[B + s * k:B + t * k] = cf[:t - s], cf[t - s:]
+    # slices fill the batch's [pairs, negatives] layout, so the loss sums as unsliced
+    log_sig, coef = np.empty((2, B * (1 + k)), np.float32)
+    d_in = np.empty_like(vc)
+    for s in range(0, B, step):
+        t = min(s + step, B)
+        ls, cf, d_in[s:t] = _score(vc[s:t], np.take(out_vecs, contexts[s:t], axis=0),
+                                   np.take(out_vecs, negs[s:t], axis=0))
+        log_sig[s:t], log_sig[B + s * k:B + t * k] = ls[:t - s], ls[t - s:]
+        coef[s:t], coef[B + s * k:B + t * k] = cf[:t - s], cf[t - s:]
     pairs = np.arange(B, dtype=np.int32)
     _segment_add(in_vecs, centers, d_in, pairs, None, lr)
     _segment_add(out_vecs, np.concatenate([contexts, negs.ravel()]), vc,

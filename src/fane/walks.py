@@ -495,7 +495,6 @@ class Corpus:
     """Walk corpus in canonical (iteration, start id) order."""
 
     walks: np.ndarray           # (n_walks, walk_length) int32 unified ids
-    walks_per_node: int
     n_raw: int
     attr_ids: np.ndarray        # attribute node slot -> AttrId (for rendering)
 
@@ -565,5 +564,4 @@ def generate_corpus(g: AugmentedGraph, model: TransitionModel) -> Corpus:
     logger.info("walk steps: %d from tables, %d by rejection at %.3f trials each, %d exact fallbacks",
                 table, rejection, trials / max(rejection, 1), fallbacks)
 
-    return Corpus(walks=all_walks, walks_per_node=params.walks_per_node, n_raw=g.n_raw,
-                  attr_ids=g.attr_ids.copy())
+    return Corpus(walks=all_walks, n_raw=g.n_raw, attr_ids=g.attr_ids.copy())

@@ -113,8 +113,14 @@ ENDS = st.sampled_from(["\n", "\r\n"])
 
 def _decimal(x: float):
     """Spellings of a positive float the scanner parses: its repr, short
-    decimals, exponents and signs."""
-    return st.sampled_from([repr(x), f"{x:.3f}", f"{x:.1e}", f"{x:.6E}", f"+{x!r}", f"{x:.17g}"])
+    decimals, exponents and signs, a bare leading or trailing dot (.5e-3,
+    5.e-03), digit-group underscores (1_234.5), padding zeros (0005.50) and
+    an exponent without a dot (1E+05)."""
+    mantissa, exponent = f"{x:.6e}".split("e")
+    leading_dot = f".{mantissa.replace('.', '')}e{int(exponent) + 1}"
+    return st.sampled_from([repr(x), f"{x:.3f}", f"{x:.1e}", f"{x:.6E}", f"+{x!r}", f"{x:.17g}",
+                            leading_dot, f"+{leading_dot}", f"{x:#.0e}", f"{x:_.8f}",
+                            f"000{x:.8f}0", f"{x:.0E}"])
 
 
 def _file(lines):
@@ -170,14 +176,14 @@ def test_edge_scanner_matches_records(data):
 @given(ATTR_FILES)
 @settings(max_examples=150, deadline=None)
 def test_attribute_scanner_matches_records(data):
-    kind, want = _outcome(graph._load_attribute_records, data, _base_graph(), "sparse", None)
+    kind, want = _outcome(graph._load_attribute_records, data, _base_graph(), "sparse")
     if kind == "ok":
         g = _base_graph()
-        g.n_attrs, g.attr_node, g.attr_id, g.attr_value = graph._scan_sparse_attributes(data, g, None)
+        g.n_attrs, g.attr_node, g.attr_id, g.attr_value = graph._scan_sparse_attributes(data, g)
         assert _state(g) == _state(want)
     else:
         with pytest.raises(graph._Declined):
-            graph._scan_sparse_attributes(data, _base_graph(), None)
+            graph._scan_sparse_attributes(data, _base_graph())
     assert _outcome(load_attributes, data, _base_graph())[0] == kind
 
 
@@ -207,8 +213,44 @@ def test_one_corrupted_line_raises_the_per_record_message(rows, draw):
     attrs = [f"{NAMES[u % len(NAMES)]} {v} {w!r}" for u, v, w in rows]
     attrs[k] = f"{NAMES[rows[k][0] % len(NAMES)]} {bad} {rows[k][2]!r}"
     _same_result(lambda d, g: load_attributes(d, g),
-                 lambda d, g: graph._load_attribute_records(d, g, "sparse", None),
+                 lambda d, g: graph._load_attribute_records(d, g, "sparse"),
                  ("\n".join(attrs) + "\n").encode(), _base_graph)
+
+
+def test_decimals_read_and_reject_as_float_does():
+    # the scanner's number grammar is numpy's bytes -> float64 cast; if a
+    # numpy release reads a token otherwise than float(), this fails
+    rng = np.random.default_rng(17)
+    alphabet = np.frombuffer(b"0123456789+-.eE_xXpinfatyINFATY", np.uint8)
+    p = np.r_[np.full(10, 6.0), np.ones(len(alphabet) - 10)]
+    lengths = rng.integers(1, 7, 100_000)
+    ends = np.cumsum(lengths)
+    text = rng.choice(alphabet, ends[-1], p=p / p.sum()).tobytes()
+    read, rejected = [], []
+    for token in (text[e - n:e] for e, n in zip(ends.tolist(), lengths.tolist())):
+        try:
+            read.append((token, float(token)))
+        except ValueError:
+            rejected.append(token)
+    assert len(read) > 30_000 and len(rejected) > 30_000
+    n = np.array([len(t) for t, _ in read])
+    got = graph._decimals(np.frombuffer(b"".join(t for t, _ in read), np.uint8), np.cumsum(n) - n, np.cumsum(n))
+    assert got.tobytes() == np.array([x for _, x in read]).tobytes()
+    for token in rejected:
+        with pytest.raises(graph._Declined):
+            graph._decimals(np.frombuffer(token, np.uint8), np.zeros(1, np.int64), np.array([len(token)]))
+
+
+def test_scanner_merges_duplicate_edges_as_records_add():
+    # 20 nodes, 3000 lines: each edge recurs about 16 times, with weights
+    # over ten decades, so the sum's bytes depend on the order of the adds
+    rng = np.random.default_rng(9)
+    u, v = rng.integers(0, 20, (2, 3000))
+    data = "".join(f"{a} {b} {w!r}\n" for a, b, w in
+                   zip(u.tolist(), v.tolist(), (10.0 ** rng.uniform(-5, 5, 3000)).tolist())).encode()
+    runs = np.unique(np.minimum(u, v) * 20 + np.maximum(u, v), return_counts=True)[1]
+    assert (runs > 8).mean() > 0.8
+    assert _state(graph._scan_edge_list(data)) == _state(graph._load_edge_records(data))
 
 
 def test_scanner_blocks_split_on_newlines(monkeypatch):
@@ -261,6 +303,6 @@ def test_scanner_peak_memory_at_most_per_record(tmp_path):
             tracemalloc.stop()
     scanned = peak(load_attributes, path, g)
     state = _state(g)
-    per_record = peak(graph._load_attribute_records, path, g, "sparse", None)
+    per_record = peak(graph._load_attribute_records, path, g, "sparse")
     assert _state(g) == state
     assert scanned <= per_record, (scanned, per_record)

@@ -108,8 +108,6 @@ def test_sparse_attribute_errors():
     g = _path_graph()
     with pytest.raises(GraphFormatError, match="unknown node"):
         load_attributes(io.StringIO("9 0\n"), g)
-    with pytest.raises(GraphFormatError, match=">= 2"):
-        load_attributes(io.StringIO("0 5\n"), g, n_attrs=2)
     with pytest.raises(GraphFormatError, match="negative value"):
         load_attributes(io.StringIO("0 0 -3\n"), g)
     with pytest.raises(GraphFormatError, match=r"duplicate entry.*first at line 1"):
@@ -175,10 +173,10 @@ def test_augmented_no_attributes_equals_raw():
 
 def test_zero_incidence_attributes_skipped_and_counted():
     g = load_edge_list(io.StringIO("0 1\n"))
-    load_attributes(io.StringIO("0 3\n"), g, n_attrs=10)
+    load_attributes(io.StringIO("0 3\n"), g)
     ag = build_augmented(g)
     assert ag.n_attr_nodes == 1
-    assert ag.skipped_attrs == 9
+    assert ag.skipped_attrs == 3
     assert ag.attr_ids.tolist() == [3]
 
 

@@ -225,9 +225,10 @@ def test_pairs_applied_add_up_to_pair_budget(monkeypatch):
     # first recovers the budget; the batches must use up exactly that many.
     # Subsampling keeps each token with probability sqrt(0.005 / 0.02) = 0.5.
     calls = _record_batches(monkeypatch)
+    monkeypatch.setattr(sgns, "_MIN_LEARNING_RATE", 0.0)
     walks = np.random.default_rng(31).integers(0, 50, size=(3000, 12))
     train(walks, TrainParams(dimension=4, window=3, epochs=3, seed=2, subsample=0.005,
-                             learning_rate=0.5, min_learning_rate=0.0))
+                             learning_rate=0.5))
     sizes = np.array([n for n, _ in calls])
     lrs = np.array([lr for _, lr in calls])
     done = np.cumsum(sizes) - sizes
