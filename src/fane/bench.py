@@ -24,6 +24,8 @@ from .walks import WalkParams, generate_corpus, preprocess_transitions
 logger = logging.getLogger(__name__)
 
 STAGES = ("construct", "preprocess", "walk", "train")
+# SGNS settings at every point of both series
+DIMENSION, WINDOW, EPOCHS = 8, 3, 1
 
 
 def _decode_pairs(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,9 +129,6 @@ class BenchSpec:
     timeout_seconds: float | None = None
     walk_length: int = 20
     walks_per_node: int = 2
-    dimension: int = 8
-    window: int = 3
-    epochs: int = 1
 
     def __post_init__(self):
         for v in (*self.node_counts, *self.attr_counts, self.attr_n_nodes,
@@ -181,8 +180,7 @@ def _time_pipeline(g: AttributedGraph, spec: BenchSpec, seed: int):
     """Run construct/preprocess/walk/train once; returns stage seconds."""
     wp = WalkParams(walk_length=spec.walk_length, walks_per_node=spec.walks_per_node,
                     seed=seed)
-    tp = TrainParams(dimension=spec.dimension, window=spec.window, epochs=spec.epochs,
-                     seed=seed)
+    tp = TrainParams(dimension=DIMENSION, window=WINDOW, epochs=EPOCHS, seed=seed)
     times = {}
     t0 = time.perf_counter()
     ag = build_augmented(g)

@@ -474,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("viz", cmd_viz, "2-D projection scatter (CSV + SVG)")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--binary", action="store_true")
-    p.add_argument("--mode", choices=["pca"], default="pca")
     p.add_argument("--color-by", choices=["label", "attribute", "cluster"],
                    default="label", dest="color_by")
     p.add_argument("--k", type=int, default=8, help="clusters for --color-by cluster")
@@ -503,7 +502,7 @@ def main(argv=None) -> int:
         cfg = effective_config(args)
         logger.setLevel(cfg["log_level"].upper())
         return args.func(args, cfg)
-    except (PipelineError, GraphFormatError, ValueError, KeyError, FileNotFoundError) as e:
+    except (PipelineError, GraphFormatError, ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_STAGE if isinstance(e, PipelineError) else EXIT_VALIDATION
     finally:

@@ -248,23 +248,6 @@ def _attr_value(token: str, lineno: int, kind: str = "attribute") -> float:
     return x
 
 
-def parse_edges(source):
-    """Yield (lineno, src, dst, weight) from "src dst [weight]" lines.
-
-    The weight defaults to 1.0 and must be positive and finite.
-    """
-    for lineno, fields in read_records(source, "edge list", "src dst [weight]"):
-        w = 1.0
-        if len(fields) == 3:
-            try:
-                w = float(fields[2])
-            except ValueError:
-                raise GraphFormatError(f"edge list line {lineno}: bad weight {fields[2]!r}") from None
-            if not 0.0 < w < math.inf:
-                raise GraphFormatError(f"edge list line {lineno}: weight must be positive and finite, got {w}")
-        yield lineno, fields[0], fields[1], w
-
-
 def parse_sparse_attributes(source):
     """Yield (lineno, node, attr, value) from "node attr [value]" lines.
 
@@ -283,21 +266,6 @@ def parse_sparse_attributes(source):
         if x == 0.0:
             raise GraphFormatError(f"attribute line {lineno}: zero values must not be stored")
         yield lineno, fields[0], a, x
-
-
-def parse_dense_attributes(source):
-    """Yield (lineno, values) per row of a dense matrix, zeros included.
-
-    Every row has as many columns as the first row; values are non-negative
-    and finite.
-    """
-    width = None
-    for lineno, fields in read_records(source, "attribute"):
-        if width is None:
-            width = len(fields)
-        if len(fields) != width:
-            raise GraphFormatError(f"attribute line {lineno}: expected {width} columns, got {len(fields)}")
-        yield lineno, [_attr_value(tok, lineno) for tok in fields]
 
 
 def read_attr_scales(source) -> np.ndarray:
@@ -414,7 +382,7 @@ def load_edge_list(source) -> AttributedGraph:
     try:
         g = _scan_edge_list(data)
     except _Declined:
-        return _load_edge_records(again)
+        g = _load_edge_records(again)
     if g.dropped_self_loops:
         logger.warning("dropped %d self-loop(s) while loading edge list", g.dropped_self_loops)
     return g
@@ -432,9 +400,44 @@ def _scan_edge_list(data: bytes) -> AttributedGraph:
         token = (b.head[:, None] + (0, 1)).ravel()      # src, dst in file order
         ends.append(_name_ids(b.buf, b.starts[token], b.ends[token], first_seen).reshape(-1, 2))
         weights.append(_optional_decimals(b, 2))
-    uv, w = np.concatenate(ends), np.concatenate(weights)
+    w = np.concatenate(weights)
     _positive_finite(w)
-    n = len(ids)
+    return _edge_graph(np.concatenate(ends), w, list(ids))
+
+
+def _load_edge_records(source) -> AttributedGraph:
+    """load_edge_list by the per-record parser, which names a bad line.
+
+    The weight defaults to 1.0 and must be positive and finite.
+    """
+    ids: dict[str, int] = {}
+    ends, weights, lines = array("q"), array("d"), array("q")
+    for lineno, fields in read_records(source, "edge list", "src dst [weight]"):
+        w = 1.0
+        if len(fields) == 3:
+            try:
+                w = float(fields[2])
+            except ValueError:
+                raise GraphFormatError(f"edge list line {lineno}: bad weight {fields[2]!r}") from None
+            if not 0.0 < w < math.inf:
+                raise GraphFormatError(f"edge list line {lineno}: weight must be positive and finite, got {w}")
+        ends.append(ids.setdefault(fields[0], len(ids)))
+        ends.append(ids.setdefault(fields[1], len(ids)))
+        weights.append(w)
+        lines.append(lineno)
+    return _edge_graph(np.frombuffer(ends, np.int64).reshape(-1, 2), np.frombuffer(weights),
+                       list(ids), np.frombuffer(lines, np.int64))
+
+
+def _edge_graph(uv: np.ndarray, w: np.ndarray, names: list[str], lines=None) -> AttributedGraph:
+    """The graph of the (src, dst) id rows ``uv`` with weights ``w``, in file
+    order: self-loops are dropped and duplicate undirected edges merged.
+
+    An empty list, or a node named only in self-loops, raises
+    GraphFormatError naming the line from ``lines``, or _Declined without
+    them.
+    """
+    n = len(names)
     loop = uv[:, 0] == uv[:, 1]
     key = uv.min(axis=1) * n + uv.max(axis=1)
     order = np.flatnonzero(~loop)
@@ -443,67 +446,29 @@ def _scan_edge_list(data: bytes) -> AttributedGraph:
     head = np.diff(key, prepend=-1) != 0
     runs = np.flatnonzero(head)
     if not len(runs):
-        raise _Declined
+        if lines is None:
+            raise _Declined
+        raise GraphFormatError("edge list: no edges found")
     wgt = np.zeros(len(runs))
-    np.add.at(wgt, np.cumsum(head) - 1, w[order])    # file order, as the records' +=
+    np.add.at(wgt, np.cumsum(head) - 1, w[order])    # each edge's weights added in file order
     src, dst = np.divmod(key[runs], n)
     linked = np.zeros(n, bool)
     linked[src] = linked[dst] = True
-    if not linked[uv[loop, 0]].all():
-        raise _Declined
+    lonely = np.flatnonzero(loop & ~linked[uv[:, 0]])
+    if len(lonely):
+        if lines is None:
+            raise _Declined
+        i = lonely[0]
+        raise GraphFormatError(f"edge list line {lines[i]}: node {names[uv[i, 0]]!r} appears only in "
+                               "self-loops, which are dropped, and would have no neighbours")
     return AttributedGraph(
         n_nodes=n,
         edge_src=src.astype(np.int32),
         edge_dst=dst.astype(np.int32),
         edge_weight=wgt,
-        node_names=list(ids),
+        node_names=names,
         dropped_self_loops=int(loop.sum()),
         merged_duplicate_edges=len(key) - len(runs),
-    )
-
-
-def _load_edge_records(source) -> AttributedGraph:
-    """load_edge_list by the per-record parser, which names a bad line."""
-    ids: dict[str, int] = {}
-    merged: dict[tuple[int, int], float] = {}
-    loop_line: dict[int, int] = {}     # node -> first self-loop line
-    dropped = 0
-    n_merged = 0
-    for lineno, a, b, w in parse_edges(source):
-        u = ids.setdefault(a, len(ids))
-        v = ids.setdefault(b, len(ids))
-        if u == v:
-            dropped += 1
-            loop_line.setdefault(u, lineno)
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in merged:
-            n_merged += 1
-        merged[key] = merged.get(key, 0.0) + w
-    if not merged:
-        raise GraphFormatError("edge list: no edges found")
-    if dropped:
-        logger.warning("dropped %d self-loop(s) while loading edge list", dropped)
-    keys = sorted(merged)
-    src = np.fromiter((k[0] for k in keys), np.int32, len(keys))
-    dst = np.fromiter((k[1] for k in keys), np.int32, len(keys))
-    wgt = np.fromiter((merged[k] for k in keys), np.float64, len(keys))
-    names = list(ids)
-    linked = np.zeros(len(ids), bool)
-    linked[src] = linked[dst] = True
-    lonely = [(line, u) for u, line in loop_line.items() if not linked[u]]
-    if lonely:
-        line, u = min(lonely)
-        raise GraphFormatError(f"edge list line {line}: node {names[u]!r} appears only in "
-                               "self-loops, which are dropped, and would have no neighbours")
-    return AttributedGraph(
-        n_nodes=len(ids),
-        edge_src=src,
-        edge_dst=dst,
-        edge_weight=wgt,
-        node_names=names,
-        dropped_self_loops=dropped,
-        merged_duplicate_edges=n_merged,
     )
 
 
@@ -543,10 +508,14 @@ def _load_attribute_records(source, g: AttributedGraph, fmt: str) -> AttributedG
         m = int(np.frombuffer(attrs, np.int32).max(initial=-1)) + 1
     else:
         m = 0
-        for row, (lineno, row_values) in enumerate(parse_dense_attributes(source)):
+        for row, (lineno, fields) in enumerate(read_records(source, "attribute")):
+            if row == 0:
+                m = len(fields)
+            if len(fields) != m:
+                raise GraphFormatError(f"attribute line {lineno}: expected {m} columns, got {len(fields)}")
+            row_values = [_attr_value(tok, lineno) for tok in fields]
             if row >= g.n_nodes:
                 raise GraphFormatError(f"attribute line {lineno}: row {row} exceeds node count {g.n_nodes}")
-            m = len(row_values)
             for a, x in enumerate(row_values):
                 if x > 0.0:
                     nodes.append(row)

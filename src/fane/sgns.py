@@ -144,9 +144,6 @@ class EmbeddingMatrix:
     def __contains__(self, key: str) -> bool:
         return key in self._index
 
-    def vector(self, key: str) -> np.ndarray:
-        return self.vectors[self._index[key]]
-
     def rows_for(self, keys) -> np.ndarray:
         return self.vectors[[self._index[k] for k in keys]]
 

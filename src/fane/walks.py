@@ -506,9 +506,6 @@ class Corpus:
     def walk_length(self) -> int:
         return self.walks.shape[1]
 
-    def token(self, v: int) -> str:
-        return str(v) if v < self.n_raw else f"a{self.attr_ids[v - self.n_raw]}"
-
     def save(self, path) -> None:
         """One walk per line, space-separated tokens, attribute nodes a<attrid>."""
         tokens = [str(v) for v in range(self.n_raw)] + [f"a{a}" for a in self.attr_ids.tolist()]

@@ -138,12 +138,18 @@ def test_build_walk_embed_eval_viz_chain(dataset, tmp_path, capsys):
     # every row carries --C and the embedding's dimension
     assert all(line.split(",")[2:4] == ["1.0", "4"] for line in lines[1:])
 
-    rc = main(["viz", "--embeddings", str(emb_path), "--mode", "pca",
+    rc = main(["viz", "--embeddings", str(emb_path),
                "--color-by", "attribute", "--attrs", str(dataset / "attrs.txt"),
                "--out-prefix", str(tmp_path / "scatter")])
     assert rc == 0
     assert (tmp_path / "scatter.csv").exists()
     assert (tmp_path / "scatter.svg").read_text().startswith("<svg")
+
+    rc = main(["viz", "--embeddings", str(emb_path), "--color-by", "cluster", "--k", "2",
+               "--out-prefix", str(tmp_path / "clusters")])
+    assert rc == 0
+    rows = (tmp_path / "clusters.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6 and {row.split(",")[-1] for row in rows} <= {"c0", "c1"}
 
 
 def test_run_pipeline_and_manifest_round_trip(dataset, tmp_path):
@@ -211,10 +217,20 @@ def test_config_type_error_names_line_and_key(tmp_path, capsys, line, message):
     assert f"config line 3: {message}" in capsys.readouterr().err
 
 
-def test_validation_exit_code(tmp_path):
+def test_validation_exit_code(tmp_path, capsys):
     rc = main(["build", "--edges", str(tmp_path / "missing.txt"),
                "--out", str(tmp_path / "b")])
     assert rc == 2
+    # a directory where a file belongs is an input error too, not a crash
+    # (an unreadable file would be one as well, but root reads every file)
+    (tmp_path / "labels.txt").write_text("0 x\n1 y\n")
+    for argv in (["build", "--edges", str(tmp_path), "--out", str(tmp_path / "b")],
+                 ["embed", "--corpus", str(tmp_path), "--out", str(tmp_path / "e.txt")],
+                 ["eval", "--embeddings", str(tmp_path), "--labels", str(tmp_path / "labels.txt"),
+                  "--out", str(tmp_path / "r.csv")]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
 
 
 def test_stage_failure_exit_code_and_partial_artifacts(dataset, tmp_path):
@@ -326,6 +342,12 @@ def test_eval_with_only_singleton_classes_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "train ratio 0.3: every class has one member" in err
     assert "no row is left to test" in err
+    assert not out.exists()
+    # labels that name only nodes without an embedding row leave nothing to score
+    (tmp_path / "labels.txt").write_text("7 x\n8 y\n")
+    assert main(["eval", "--embeddings", str(emb), "--labels", str(tmp_path / "labels.txt"),
+                 "--out", str(out)]) == 2
+    assert "no embedding rows carry a label; cannot evaluate" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -9,6 +9,8 @@ from fane import EmbeddingMatrix, GraphFormatError, graph, load_attributes, load
 from fane.cli import main
 from fane.graph import read_records
 
+from oracles.edge_records import load_edge_records
+
 
 def test_reader_skips_comments_and_checks_field_count():
     text = "# head\n\n  a b  \n#x y\nc d e\n"
@@ -164,13 +166,14 @@ def _base_graph():
 @given(EDGE_FILES)
 @settings(max_examples=150, deadline=None)
 def test_edge_scanner_matches_records(data):
-    kind, want = _outcome(graph._load_edge_records, data)
+    kind, want = _outcome(load_edge_records, data)
     if kind == "ok":
         assert _state(graph._scan_edge_list(data)) == _state(want)
     else:
         with pytest.raises(graph._Declined):
             graph._scan_edge_list(data)
-    assert _outcome(load_edge_list, data)[0] == kind
+    _same_result(graph._load_edge_records, load_edge_records, data)
+    _same_result(load_edge_list, load_edge_records, data)
 
 
 @given(ATTR_FILES)
@@ -187,7 +190,9 @@ def test_attribute_scanner_matches_records(data):
     assert _outcome(load_attributes, data, _base_graph())[0] == kind
 
 
-CORRUPTIONS = ["x", "-1", "0", "nan", "inf", "1e999", "", "a b c d", "\u0663", "1_0x"]
+# the last two are wider than the scanner's integers (18 bytes) and decimals (32)
+CORRUPTIONS = ["x", "-1", "0", "nan", "inf", "1e999", "", "a b c d", "\u0663", "1_0x",
+               "9" * 19, "0." + "0" * 30 + "1"]
 
 
 def _same_result(load, per_record, data, *graph_args):
@@ -246,11 +251,16 @@ def test_scanner_merges_duplicate_edges_as_records_add():
     # over ten decades, so the sum's bytes depend on the order of the adds
     rng = np.random.default_rng(9)
     u, v = rng.integers(0, 20, (2, 3000))
-    data = "".join(f"{a} {b} {w!r}\n" for a, b, w in
-                   zip(u.tolist(), v.tolist(), (10.0 ** rng.uniform(-5, 5, 3000)).tolist())).encode()
+    rows = list(zip(u.tolist(), v.tolist(), (10.0 ** rng.uniform(-5, 5, 3000)).tolist()))
+    data = "".join(f"{a} {b} {w!r}\n" for a, b, w in rows).encode()
     runs = np.unique(np.minimum(u, v) * 20 + np.maximum(u, v), return_counts=True)[1]
     assert (runs > 8).mean() > 0.8
-    assert _state(graph._scan_edge_list(data)) == _state(graph._load_edge_records(data))
+    assert _state(graph._scan_edge_list(data)) == _state(load_edge_records(data))
+    # non-ASCII names send the same list to the per-record parser
+    data = "".join(f"\u00e9{a} \u00e9{b} {w!r}\n" for a, b, w in rows).encode()
+    with pytest.raises(graph._Declined):
+        graph._scan_edge_list(data)
+    assert _state(load_edge_list(data)) == _state(load_edge_records(data))
 
 
 def test_scanner_blocks_split_on_newlines(monkeypatch):

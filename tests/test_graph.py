@@ -102,6 +102,9 @@ def test_dense_attributes():
     entries = set(zip(g.attr_node.tolist(), g.attr_id.tolist(), g.attr_value.tolist()))
     assert entries == {(0, 0, 1.0), (0, 2, 1.0), (1, 1, 1.0), (2, 0, 1.0),
                        (2, 1, 1.0), (2, 2, 1.0)}
+    # an empty dense file has no columns
+    load_attributes(io.StringIO(""), g, fmt="dense")
+    assert g.n_attrs == 0 and g.nnz_attributes == 0
 
 
 def test_sparse_attribute_errors():
@@ -129,6 +132,12 @@ def test_dense_attribute_errors():
         load_attributes(io.StringIO("1 0\n1\n"), g, fmt="dense")
     with pytest.raises(GraphFormatError, match="exceeds node count"):
         load_attributes(io.StringIO("1\n1\n1\n1\n"), g, fmt="dense")
+    # a row past the node count reports its bad value or column count first
+    two = load_edge_list(io.StringIO("0 1\n"))
+    with pytest.raises(GraphFormatError, match="^attribute line 3: bad value 'x'$"):
+        load_attributes(io.StringIO("1 1\n1 1\n1 x\n"), two, fmt="dense")
+    with pytest.raises(GraphFormatError, match="^attribute line 3: expected 2 columns, got 1$"):
+        load_attributes(io.StringIO("1 1\n1 1\n1\n"), two, fmt="dense")
 
 
 def test_labels_load_and_errors():

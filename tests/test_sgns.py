@@ -145,7 +145,7 @@ def test_two_clique_separation_after_one_epoch():
     b = _clique_corpus(rng, list(range(5, 10)), 150, 12)
     walks = np.concatenate([a, b])
     emb = train(walks, TrainParams(dimension=8, window=3, epochs=1, seed=4))
-    vecs = np.stack([emb.vector(str(t)) for t in range(10)])
+    vecs = emb.rows_for([str(t) for t in range(10)])
     norm = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     cos = norm @ norm.T
     intra = np.concatenate([cos[:5, :5][np.triu_indices(5, 1)],
@@ -174,8 +174,8 @@ def test_permutation_equivariance():
     base = train(walks, params)
     relabeled = train(sigma[walks], params)
     for t in np.unique(walks):
-        assert np.array_equal(base.vector(str(int(t))),
-                              relabeled.vector(str(int(sigma[t]))))
+        assert np.array_equal(base.rows_for([str(int(t))]),
+                              relabeled.rows_for([str(int(sigma[t]))]))
 
 
 def test_determinism_and_seed_sensitivity():

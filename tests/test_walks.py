@@ -487,7 +487,8 @@ def test_corpus_file_round_trip(five_node_graph, tmp_path):
     assert "a0" in tokens
     # token indices decode back to the original walks
     decoded = np.array([[tokens[t] for t in row] for row in matrix])
-    expected = np.array([[corpus.token(int(v)) for v in row] for row in corpus.walks])
+    expected = np.array([[str(v) if v < corpus.n_raw else f"a{corpus.attr_ids[v - corpus.n_raw]}"
+                          for v in row.tolist()] for row in corpus.walks])
     assert np.array_equal(decoded, expected)
 
 
