@@ -24,7 +24,8 @@ from .walks import WalkParams, generate_corpus, preprocess_transitions
 logger = logging.getLogger(__name__)
 
 STAGES = ("construct", "preprocess", "walk", "train")
-# SGNS settings at every point of both series
+# walk and SGNS settings at every point of both series
+WALK_LENGTH, WALKS_PER_NODE = 20, 2
 DIMENSION, WINDOW, EPOCHS = 8, 3, 1
 
 
@@ -127,8 +128,6 @@ class BenchSpec:
     seed: int = 1
     tau: int = 128
     timeout_seconds: float | None = None
-    walk_length: int = 20
-    walks_per_node: int = 2
 
     def __post_init__(self):
         for v in (*self.node_counts, *self.attr_counts, self.attr_n_nodes,
@@ -178,8 +177,7 @@ def ols_fit(x, y) -> FitResult | None:
 
 def _time_pipeline(g: AttributedGraph, spec: BenchSpec, seed: int):
     """Run construct/preprocess/walk/train once; returns stage seconds."""
-    wp = WalkParams(walk_length=spec.walk_length, walks_per_node=spec.walks_per_node,
-                    seed=seed)
+    wp = WalkParams(walk_length=WALK_LENGTH, walks_per_node=WALKS_PER_NODE, seed=seed)
     tp = TrainParams(dimension=DIMENSION, window=WINDOW, epochs=EPOCHS, seed=seed)
     times = {}
     t0 = time.perf_counter()

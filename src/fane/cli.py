@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .graph import (AttributedGraph, GraphFormatError, build_augmented,
                     load_attributes, load_edge_list, load_labels, parse_labels,
-                    parse_sparse_attributes, read_attr_scales, read_records, stats)
+                    parse_sparse_attributes, read_records, stats)
 from .sgns import EmbeddingMatrix, TrainParams, train
 from .walks import (STRATEGIES, WalkParams, generate_corpus, load_corpus_tokens,
                     preprocess_transitions)
@@ -55,11 +55,7 @@ class Option(NamedTuple):
 OPTIONS = {o.key: o for o in [
     Option("edges", str, None, None, "build run"),
     Option("attrs", str, None, None, "build viz run"),
-    Option("attr_format", str, "sparse", ("sparse", "dense"), "build run"),
     Option("labels", str, None, None, "build eval viz run"),
-    Option("attr_weight", str, "value", ("value", "uniform", "scale"), "build walk"),
-    Option("uniform_weight", float, 1.0, None, "build walk"),
-    Option("attr_scale_file", str, None, None, "build walk"),
     Option("p", float, 1.0, None, "walk run"),
     Option("q", float, 1.0, None, "walk run"),
     Option("r", float, 1.0, None, "walk run"),
@@ -67,8 +63,6 @@ OPTIONS = {o.key: o for o in [
     Option("walk_length", int, 80, None, "walk run"),
     Option("walks_per_node", int, 10, None, "walk run"),
     Option("tau", int, 1024, None, "walk run"),
-    Option("beta_graph", str, "augmented", ("augmented", "raw"), "walk run"),
-    Option("raw_starts_only", bool, False, None, "walk run"),
     Option("dim", int, 128, None, "embed run"),
     Option("window", int, 10, None, "embed run"),
     Option("negatives", int, 5, None, "embed run"),
@@ -230,18 +224,10 @@ def _read_nodemap(path, tokens) -> dict:
 def _load_graph(cfg) -> AttributedGraph:
     g = load_edge_list(_need(cfg, "edges"))
     if cfg["attrs"]:
-        load_attributes(cfg["attrs"], g, fmt=cfg["attr_format"])
+        load_attributes(cfg["attrs"], g)
     if cfg["labels"]:
         load_labels(cfg["labels"], g)
     return g
-
-
-def _build_augmented(g, cfg):
-    scale = None
-    if cfg["attr_weight"] == "scale":
-        scale = read_attr_scales(_need(cfg, "attr_scale_file"))
-    return build_augmented(g, attr_weight=cfg["attr_weight"],
-                           uniform_weight=cfg["uniform_weight"], attr_scale=scale)
 
 
 def _write_stats(path, ag) -> dict:
@@ -255,9 +241,7 @@ def _write_stats(path, ag) -> dict:
 def _walk_params(cfg) -> WalkParams:
     return WalkParams(
         p=cfg["p"], q=cfg["q"], r=cfg["r"], strategy=cfg["strategy"],
-        walk_length=cfg["walk_length"], walks_per_node=cfg["walks_per_node"],
-        seed=cfg["seed"], beta_graph=cfg["beta_graph"],
-        raw_starts_only=cfg["raw_starts_only"],
+        walk_length=cfg["walk_length"], walks_per_node=cfg["walks_per_node"], seed=cfg["seed"],
     )
 
 
@@ -283,7 +267,7 @@ def _classify(emb: EmbeddingMatrix, keys, y, cfg, path):
 def cmd_build(args, cfg) -> int:
     out = Path(_need(cfg, "out"))
     g = _load_graph(cfg)
-    ag = _build_augmented(g, cfg)
+    ag = build_augmented(g)
     g.save(out)
     s = _write_stats(out / "stats.txt", ag)
     if args.dump:
@@ -295,7 +279,7 @@ def cmd_build(args, cfg) -> int:
 
 
 def cmd_walk(args, cfg) -> int:
-    ag = _build_augmented(AttributedGraph.load_dir(args.graph), cfg)
+    ag = build_augmented(AttributedGraph.load_dir(args.graph))
     model = preprocess_transitions(ag, _walk_params(cfg), tau=cfg["tau"])
     corpus = generate_corpus(ag, model)
     with _artifact(args.out) as tmp:
@@ -395,7 +379,7 @@ def run_pipeline(cfg: dict, dry_run: bool = False) -> dict:
     stage = "build"
     try:
         g = _load_graph(cfg)
-        ag = _build_augmented(g, cfg)
+        ag = build_augmented(g)
         artifacts["stats"] = out / "stats.txt"
         _write_stats(artifacts["stats"], ag)
 

@@ -23,19 +23,6 @@ logger = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------- splits
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_ratio: float
-    repetitions: int = 10
-    seed: int = 1
-
-    def __post_init__(self):
-        if not (0.0 < self.train_ratio < 1.0):
-            raise ValueError("train_ratio must be in (0, 1)")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-
-
 def stratified_split(labels: np.ndarray, ratio: float, rng: np.random.Generator):
     """Disjoint stratified train/test index arrays.
 
@@ -69,13 +56,15 @@ def stratified_split(labels: np.ndarray, ratio: float, rng: np.random.Generator)
     return train, test
 
 
-def split(labels: np.ndarray, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+def split(labels: np.ndarray, train_ratio: float, repetitions: int,
+          seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """One (train, test) pair per repetition, reproducible from the seed."""
-    out = []
-    for rep in range(spec.repetitions):
-        rng = np.random.default_rng((spec.seed, rep))
-        out.append(stratified_split(labels, spec.train_ratio, rng))
-    return out
+    if not (0.0 < train_ratio < 1.0):
+        raise ValueError("train_ratio must be in (0, 1)")
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    return [stratified_split(labels, train_ratio, np.random.default_rng((seed, rep)))
+            for rep in range(repetitions)]
 
 
 # ---------------------------------------------------------------- metrics
@@ -252,11 +241,10 @@ def evaluate_classification(features, labels, ratios, C: float, repetitions: int
     classes, counts = np.unique(labels, return_counts=True)
     report = ClassificationReport(C=C, seed=seed, repetitions=repetitions)
     for ratio in ratios:
-        spec = SplitSpec(train_ratio=ratio, repetitions=repetitions, seed=seed)
         if counts.max() < 2:
             raise ValueError(f"train ratio {ratio}: every class has one member, so all "
                              f"{len(labels)} rows go to train and no row is left to test")
-        for rep, (tr, te) in enumerate(split(labels, spec)):
+        for rep, (tr, te) in enumerate(split(labels, ratio, repetitions, seed)):
             clf = LinearSVM(C=C).fit(features[tr], labels[tr])
             pred, truth = clf.predict(features[te]), labels[te]
             report.rows.append({"ratio": ratio, "rep": rep, "C": C, "d": features.shape[1],

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import logging
 import math
+import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -30,22 +31,22 @@ class GraphFormatError(ValueError):
 def _open_text(source):
     """Text view of a path, bytes or stream, read with universal newlines
     (a bare CR ends a line) as open() reads a file; closes only what it
-    opened."""
+    opened. A byte that is not UTF-8 decodes to a lone surrogate."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as f:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as f:
             yield f
     elif isinstance(source, io.TextIOBase):
         yield io.StringIO(source.read(), newline=None)
     else:  # bytes or a binary stream: wrap it, and hand a stream back open
         f = io.TextIOWrapper(io.BytesIO(source) if isinstance(source, bytes) else source,
-                             encoding="utf-8")
+                             encoding="utf-8", errors="surrogateescape")
         try:
             yield f
         finally:
             f.detach()
 
 
-# load_edge_list and load_attributes (sparse) read a file's bytes once and
+# load_edge_list and load_attributes read a file's bytes once and
 # parse them with numpy block by block. On a byte or number the scanner does
 # not define, or on any fault, they hand the same text to the per-record
 # parser, which gives the same graph or names the bad line. load_labels
@@ -65,6 +66,8 @@ _SCANNED[[9, 10, 13]] = True
 _SCANNED[32:127] = True
 _SPACE = np.zeros(256, bool)
 _SPACE[[9, 10, 13, 32]] = True
+# what errors="surrogateescape" decodes a byte that is not UTF-8 to
+_ESCAPED = re.compile("[\udc80-\udcff]")
 
 
 class _Declined(Exception):
@@ -212,39 +215,48 @@ def _positive_finite(x: np.ndarray) -> None:
         raise _Declined
 
 
-def read_records(source, kind: str, layout: str | None = None, sep: str | None = None):
+def valid_utf8(line: str, kind: str, lineno: int) -> str:
+    """``line``, unless it holds a byte that is not UTF-8, escaped to a lone
+    surrogate by errors="surrogateescape": that raises GraphFormatError."""
+    if not line.isascii() and _ESCAPED.search(line):
+        raise GraphFormatError(f"{kind} line {lineno}: not valid UTF-8")
+    return line
+
+
+def read_records(source, kind: str, layout: str, sep: str | None = None):
     """Yield (lineno, fields) for each line of a text input that holds data.
 
     Blank lines and lines starting with '#' are skipped. ``layout`` names the
     fields, e.g. "src dst [weight]" (bracketed fields are optional); a line
-    with another field count raises GraphFormatError("<kind> line N: ...").
-    Fields split on whitespace, or on ``sep``, where the last field keeps any
-    further separators (a config value may contain '=').
+    with another field count, or one that is not UTF-8, raises
+    GraphFormatError("<kind> line N: ..."). Fields split on whitespace, or on
+    ``sep``, where the last field keeps any further separators (a config
+    value may contain '=').
     """
-    names = layout.split(sep) if layout else []
+    names = layout.split(sep)
     most = len(names)
     least = sum(not name.startswith("[") for name in names)
     maxsplit = most - 1 if sep else -1
     with _open_text(source) as f:
         for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
+            line = valid_utf8(raw.strip(), kind, lineno)
             if not line or line[0] == "#":
                 continue
             fields = line.split(sep, maxsplit)
-            if layout and not least <= len(fields) <= most:
+            if not least <= len(fields) <= most:
                 raise GraphFormatError(f"{kind} line {lineno}: expected '{layout}', got {line!r}")
             yield lineno, fields
 
 
-def _attr_value(token: str, lineno: int, kind: str = "attribute") -> float:
+def _attr_value(token: str, lineno: int) -> float:
     try:
         x = float(token)
     except ValueError:
-        raise GraphFormatError(f"{kind} line {lineno}: bad value {token!r}") from None
+        raise GraphFormatError(f"attribute line {lineno}: bad value {token!r}") from None
     if not math.isfinite(x):
-        raise GraphFormatError(f"{kind} line {lineno}: non-finite value {x}")
+        raise GraphFormatError(f"attribute line {lineno}: non-finite value {x}")
     if x < 0:
-        raise GraphFormatError(f"{kind} line {lineno}: negative value {x}")
+        raise GraphFormatError(f"attribute line {lineno}: negative value {x}")
     return x
 
 
@@ -266,12 +278,6 @@ def parse_sparse_attributes(source):
         if x == 0.0:
             raise GraphFormatError(f"attribute line {lineno}: zero values must not be stored")
         yield lineno, fields[0], a, x
-
-
-def read_attr_scales(source) -> np.ndarray:
-    """Scales for attr_weight="scale", attribute i's on the i-th data line."""
-    return np.array([_attr_value(tok, n, "attr scale") for n, (tok,) in
-                     read_records(source, "attr scale", "scale")], np.float64)
 
 
 def parse_labels(source):
@@ -472,62 +478,38 @@ def _edge_graph(uv: np.ndarray, w: np.ndarray, names: list[str], lines=None) -> 
     )
 
 
-def load_attributes(source, g: AttributedGraph, fmt: str = "sparse") -> AttributedGraph:
-    """Attach an attribute matrix to ``g`` from a sparse-triplet or dense file.
+def load_attributes(source, g: AttributedGraph) -> AttributedGraph:
+    """Attach an attribute matrix to ``g`` from "node attr [value]" lines.
 
-    Sparse format: "node attr [value]" per line, node in source-label space,
-    value defaults to 1.0. Dense format: row i holds the values of dense node
-    i, every row with the same column count. Entries must be positive; zeros
-    are absence and are skipped (dense) or rejected (sparse).
+    node is in source-label space and value defaults to 1.0. Entries must be
+    positive: a zero is absence and is rejected.
     """
-    if fmt not in ("sparse", "dense"):
-        raise ValueError(f"unknown attribute format {fmt!r}")
-    if fmt == "sparse":
-        data, source = _read_once(source)
-        try:
-            g.n_attrs, g.attr_node, g.attr_id, g.attr_value = _scan_sparse_attributes(data, g)
-            return g
-        except _Declined:
-            pass
-    return _load_attribute_records(source, g, fmt)
+    data, source = _read_once(source)
+    try:
+        g.n_attrs, g.attr_node, g.attr_id, g.attr_value = _scan_sparse_attributes(data, g)
+        return g
+    except _Declined:
+        return _load_attribute_records(source, g)
 
 
-def _load_attribute_records(source, g: AttributedGraph, fmt: str) -> AttributedGraph:
-    """load_attributes by the per-record parsers, which name a bad line."""
+def _load_attribute_records(source, g: AttributedGraph) -> AttributedGraph:
+    """load_attributes by the per-record parser, which names a bad line."""
     nodes, attrs, values, lines = array("i"), array("i"), array("d"), array("q")
-    if fmt == "sparse":
-        name_to_id = g.name_to_id()
-        for lineno, name, a, x in parse_sparse_attributes(source):
-            v = name_to_id.get(name)
-            if v is None:
-                raise GraphFormatError(f"attribute line {lineno}: unknown node id {name!r}")
-            nodes.append(v)
-            attrs.append(a)
-            values.append(x)
-            lines.append(lineno)
-        m = int(np.frombuffer(attrs, np.int32).max(initial=-1)) + 1
-    else:
-        m = 0
-        for row, (lineno, fields) in enumerate(read_records(source, "attribute")):
-            if row == 0:
-                m = len(fields)
-            if len(fields) != m:
-                raise GraphFormatError(f"attribute line {lineno}: expected {m} columns, got {len(fields)}")
-            row_values = [_attr_value(tok, lineno) for tok in fields]
-            if row >= g.n_nodes:
-                raise GraphFormatError(f"attribute line {lineno}: row {row} exceeds node count {g.n_nodes}")
-            for a, x in enumerate(row_values):
-                if x > 0.0:
-                    nodes.append(row)
-                    attrs.append(a)
-                    values.append(x)
-                    lines.append(lineno)
+    name_to_id = g.name_to_id()
+    for lineno, name, a, x in parse_sparse_attributes(source):
+        v = name_to_id.get(name)
+        if v is None:
+            raise GraphFormatError(f"attribute line {lineno}: unknown node id {name!r}")
+        nodes.append(v)
+        attrs.append(a)
+        values.append(x)
+        lines.append(lineno)
     node_arr = np.frombuffer(nodes, np.int32)
     attr_arr = np.frombuffer(attrs, np.int32)
     order = np.lexsort((attr_arr, node_arr))
     node_arr, attr_arr = node_arr[order], attr_arr[order]
     _reject_duplicates(g, node_arr, attr_arr, np.frombuffer(lines, np.int64)[order])
-    g.n_attrs = int(m)
+    g.n_attrs = int(attr_arr.max(initial=-1)) + 1
     g.attr_node = node_arr
     g.attr_id = attr_arr
     g.attr_value = np.frombuffer(values, np.float64)[order]
@@ -688,16 +670,11 @@ class AugmentedGraph:
                 sink.close()
 
 
-def build_augmented(g: AttributedGraph, attr_weight: str = "value",
-                    uniform_weight: float = 1.0,
-                    attr_scale: np.ndarray | None = None) -> AugmentedGraph:
+def build_augmented(g: AttributedGraph) -> AugmentedGraph:
     """Construct the augmented graph: virtual node per used attribute, virtual
-    edge per nonzero attribute entry.
+    edge per nonzero attribute entry, weighted by the attribute value (1.0
+    for binary attributes).
 
-    Virtual edge weights follow ``attr_weight``:
-      - "value": the attribute value itself (1.0 for binary attributes);
-      - "uniform": ``uniform_weight`` for every virtual edge;
-      - "scale": value * attr_scale[attr_id], positive and finite if used.
     Attributes with zero incidence get no node (walks cannot leave an
     isolated node); the skipped count is reported in the result. A raw node
     named like an attribute node's key, a<attrid>, raises GraphFormatError.
@@ -715,26 +692,6 @@ def build_augmented(g: AttributedGraph, attr_weight: str = "value",
     if clash:
         raise GraphFormatError(f"node 'a{clash[0]}' would share its embedding key with attribute {clash[0]}")
 
-    if attr_weight == "value":
-        vw = g.attr_value
-    elif attr_weight == "uniform":
-        if not (uniform_weight > 0):
-            raise ValueError("uniform attribute-edge weight must be positive")
-        vw = np.full(g.nnz_attributes, float(uniform_weight))
-    elif attr_weight == "scale":
-        if attr_scale is None:
-            raise ValueError("attr_weight='scale' requires attr_scale")
-        scale = np.asarray(attr_scale, np.float64)
-        if len(scale) < g.n_attrs:
-            raise ValueError("attr_scale shorter than attribute count")
-        bad = used[~(np.isfinite(scale[used]) & (scale[used] > 0))]
-        if len(bad):
-            raise ValueError(f"attr_scale of attribute {bad[0]} is {scale[bad[0]]}; "
-                             "it must be positive and finite")
-        vw = g.attr_value * scale[g.attr_id]
-    else:
-        raise ValueError(f"unknown attr_weight rule {attr_weight!r}")
-
     n_total = n + m_used
     # symmetrize, then CSR with neighbor lists sorted by unified id: one
     # stable argsort of the key src·n_total + dst, built in all_src's buffer;
@@ -743,7 +700,7 @@ def build_augmented(g: AttributedGraph, attr_weight: str = "value",
     ends = [g.edge_src, g.attr_node, g.edge_dst, attr_unified]
     all_src = np.concatenate(ends, dtype=np.int64)
     all_dst = np.concatenate(ends[2:] + ends[:2], dtype=np.int32)
-    all_wgt = np.concatenate([g.edge_weight, vw, g.edge_weight, vw])
+    all_wgt = np.concatenate([g.edge_weight, g.attr_value, g.edge_weight, g.attr_value])
     indptr = np.zeros(n_total + 1, np.int64)
     np.cumsum(np.bincount(all_src, minlength=n_total), out=indptr[1:])
     key = all_src

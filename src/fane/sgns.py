@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alias import alias_draw, build_alias
+from .graph import valid_utf8
 
 _INIT_STREAM = 0
 _EPOCH_STREAM = 10
@@ -156,12 +157,12 @@ class EmbeddingMatrix:
     @classmethod
     def load_text(cls, path) -> "EmbeddingMatrix":
         """Errors name the file line: the header is line 1, row i line i + 2."""
-        with open(path, "r", encoding="utf-8") as f:
-            n, d = _header(f.readline())
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+            n, d = _header(valid_utf8(f.readline(), "embedding file", 1))
             keys = {}   # key -> file line
             vecs = np.empty((n, d), np.float32)
             for line in range(2, n + 2):
-                parts = f.readline().split()
+                parts = valid_utf8(f.readline(), "embedding file", line).split()
                 if len(parts) != d + 1:
                     raise ValueError(f"embedding file line {line}: expected a key and {d} values, "
                                      f"got {len(parts)} fields")
@@ -188,7 +189,7 @@ class EmbeddingMatrix:
         """Errors name the record as a file line: the header is line 1, row
         i (key, space, d little-endian float32, newline) line i + 2."""
         with open(path, "rb") as f:
-            n, d = _header(f.readline())
+            n, d = _header(f.readline().decode("ascii", "surrogateescape"))
             data = f.read()
         keys = {}   # key -> file line
         vecs = np.empty((n, d), np.float32)
@@ -214,9 +215,9 @@ def _add_key(keys: dict, key: str, line: int) -> None:
 
 
 def _header(line) -> tuple[int, int]:
-    """(count, dimension) from an embedding file's first line, text or bytes."""
+    """(count, dimension) from an embedding file's first line."""
     fields = line.split()
-    if len(fields) != 2 or not (fields[0].isdigit() and fields[1].isdigit()) or int(fields[1]) < 1:
+    if len(fields) != 2 or not (fields[0].isdecimal() and fields[1].isdecimal()) or int(fields[1]) < 1:
         raise ValueError("embedding file line 1: bad header, expected '<count> <dimension>'")
     return int(fields[0]), int(fields[1])
 

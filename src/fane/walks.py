@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alias import alias_draw, build_alias_rows
-from .graph import AugmentedGraph
+from .graph import AugmentedGraph, valid_utf8
 
 SF = "sf"
 TF = "tf"
@@ -79,8 +79,6 @@ class WalkParams:
     walk_length: int = 80
     walks_per_node: int = 10
     seed: int = 1
-    beta_graph: str = "augmented"   # adjacency space for the beta kernel
-    raw_starts_only: bool = False
 
     def __post_init__(self):
         if not (self.p > 0 and self.q > 0 and self.r > 0):
@@ -91,8 +89,6 @@ class WalkParams:
             raise ValueError("walk_length must be >= 2")
         if self.walks_per_node < 1:
             raise ValueError("walks_per_node must be >= 1")
-        if self.beta_graph not in ("augmented", "raw"):
-            raise ValueError("beta_graph must be 'augmented' or 'raw'")
 
 
 def _damped(params: WalkParams, x_attr, v_attr):
@@ -113,8 +109,6 @@ def _scores(params: WalkParams, n_raw: int, x, w, u, v, adj) -> np.ndarray:
     first step is the weighted-uniform start of node2vec.
     """
     x_attr, v_attr = x >= n_raw, v >= n_raw
-    if params.beta_graph == "raw":
-        adj = adj & ~x_attr & (u < n_raw)
     beta = np.where(x == u, 1.0 / params.p, np.where(adj, 1.0, 1.0 / params.q))
     pi = w * np.where(_damped(params, x_attr, v_attr), 1.0 / params.r, np.where(u < 0, 1.0, beta))
     if params.strategy in (SF, STF):
@@ -518,14 +512,14 @@ def load_corpus_tokens(path) -> tuple[np.ndarray, list[str]]:
     """Read a corpus file into (index matrix, token list).
 
     Tokens are numbered in first-appearance order; the matrix holds those
-    indices. Blank lines are skipped; all other lines must have equal
-    length, and the error names the first file line that differs.
+    indices. Blank lines are skipped; all other lines must be UTF-8 and of
+    equal length, and the error names the first file line that is not.
     """
     vocab: dict[str, int] = {}
     rows: list[list[int]] = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, 1):
-            toks = line.split()
+            toks = valid_utf8(line, "corpus", lineno).split()
             if not toks:
                 continue
             if rows and len(toks) != len(rows[0]):
@@ -540,21 +534,20 @@ def load_corpus_tokens(path) -> tuple[np.ndarray, list[str]]:
 def generate_corpus(g: AugmentedGraph, model: TransitionModel) -> Corpus:
     """Alg.-style corpus: walks_per_node iterations over every start node.
 
-    Starts cover all of V' (or raw nodes only with raw_starts_only), each
-    exactly walks_per_node times. The (iteration, start id) pairs are walked
-    in that canonical order, sequentially, in chunks of at most
-    ``_CHUNK_UNIFORMS`` first-trial uniforms that may straddle iterations.
+    Starts cover all of V', each exactly walks_per_node times. The
+    (iteration, start id) pairs are walked in that canonical order,
+    sequentially, in chunks of at most ``_CHUNK_UNIFORMS`` first-trial
+    uniforms that may straddle iterations.
     Logs at INFO how many steps drew from tables and how many by rejection,
     the mean trials per rejection step and the exact fallbacks.
     """
     params = model.params
-    n_starts = g.n_raw if params.raw_starts_only else g.n_total
-    n_walks = params.walks_per_node * n_starts
+    n_walks = params.walks_per_node * g.n_total
     all_walks = np.empty((n_walks, params.walk_length), np.int32)
     counts = np.zeros(4, np.int64)
     step = max(1, _CHUNK_UNIFORMS // (2 * (params.walk_length - 1)))
     for k in range(0, n_walks, step):
-        iteration, start = np.divmod(np.arange(k, min(k + step, n_walks)), n_starts)
+        iteration, start = np.divmod(np.arange(k, min(k + step, n_walks)), g.n_total)
         all_walks[k:k + len(start)] = _walk_chunk(g, model, iteration, start, counts)
 
     table, rejection, trials, fallbacks = counts.tolist()

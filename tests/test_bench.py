@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fane import WalkParams, build_augmented, preprocess_transitions
+from fane import WalkParams, bench, build_augmented, preprocess_transitions
 from fane.bench import (BenchSpec, attach_random_attributes, erdos_renyi,
                         ols_fit, run_scaling)
 from oracles import erdos_renyi_reference
@@ -103,9 +103,10 @@ def test_ols_fit_basics():
     assert ols_fit([1], [1.0]) is None
 
 
-def test_run_scaling_single_point_skips_fit(tmp_path):
-    spec = BenchSpec(node_counts=(60,), attr_counts=(), repetitions=1,
-                     walk_length=5, walks_per_node=1, seed=3)
+def test_run_scaling_single_point_skips_fit(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "WALK_LENGTH", 5)
+    monkeypatch.setattr(bench, "WALKS_PER_NODE", 1)
+    spec = BenchSpec(node_counts=(60,), attr_counts=(), repetitions=1, seed=3)
     result = run_scaling(spec, run_attrs=False)
     assert result.node_fit is None
     stages = {r["stage"] for r in result.rows}
@@ -117,10 +118,11 @@ def test_run_scaling_single_point_skips_fit(tmp_path):
     assert len(lines) == 6
 
 
-def test_run_scaling_small_series_fits(tmp_path):
+def test_run_scaling_small_series_fits(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "WALK_LENGTH", 5)
+    monkeypatch.setattr(bench, "WALKS_PER_NODE", 1)
     spec = BenchSpec(node_counts=(50, 100, 200), attr_counts=(2, 4),
-                     attr_n_nodes=50, repetitions=1,
-                     walk_length=5, walks_per_node=1, seed=3)
+                     attr_n_nodes=50, repetitions=1, seed=3)
     result = run_scaling(spec)
     assert result.node_fit is not None
     assert result.attr_fit is not None

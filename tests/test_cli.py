@@ -206,7 +206,7 @@ def test_unknown_config_key_is_error(tmp_path):
 @pytest.mark.parametrize("line, message", [
     ("walk_length=abc", "walk_length: invalid literal for int()"),
     ("p=fast", "p: could not convert string to float"),
-    ("raw_starts_only=maybe", "raw_starts_only: not a boolean: 'maybe'"),
+    ("save_corpus=maybe", "save_corpus: not a boolean: 'maybe'"),
 ])
 def test_config_type_error_names_line_and_key(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.txt"
@@ -231,6 +231,19 @@ def test_validation_exit_code(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+    # a byte that is not UTF-8 is named with its line, in every text input
+    (tmp_path / "edges.txt").write_bytes(b"0 1\n1 2\n2 \xff\n")
+    (tmp_path / "corpus.txt").write_bytes(b"0 1 2\n\n1 2 \xff0\n")
+    (tmp_path / "emb.txt").write_bytes(b"2 1\n0 0.5\n\xff1 -0.5\n")
+    for argv, message in (
+            (["build", "--edges", str(tmp_path / "edges.txt"), "--out", str(tmp_path / "b")],
+             "edge list line 3: not valid UTF-8"),
+            (["embed", "--corpus", str(tmp_path / "corpus.txt"), "--out", str(tmp_path / "e.txt")],
+             "corpus line 3: not valid UTF-8"),
+            (["eval", "--embeddings", str(tmp_path / "emb.txt"), "--labels", str(tmp_path / "labels.txt"),
+              "--out", str(tmp_path / "r.csv")], "embedding file line 3: not valid UTF-8")):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_stage_failure_exit_code_and_partial_artifacts(dataset, tmp_path):
@@ -266,7 +279,9 @@ def test_fane_seed_env_default(dataset, tmp_path, monkeypatch):
     assert c1.read_bytes() != c2.read_bytes()
 
 
-# a `fane run` manifest as written before TrainParams lost `deterministic` and `workers`
+# a `fane run` manifest as written before TrainParams lost `deterministic` and
+# `workers`, and before the attribute format, attribute-edge weights, raw-graph
+# beta and raw-only starts were deleted
 OLD_MANIFEST = """# fane-version=0.1.0
 # numpy-version=2.4.6
 # python=3.11.7
@@ -300,13 +315,17 @@ workers=1
 """
 
 
+RETIRED = ("attr_format=sparse", "attr_weight=value", "beta_graph=augmented", "deterministic=true",
+           "raw_starts_only=false", "uniform_weight=1.0", "workers=1")
+
+
 def test_manifest_with_deterministic_key_exits_2(dataset, tmp_path, capsys):
-    """Training is sequential without a setting, so a manifest that still
-    says deterministic= or workers= does not replay: it names the line and
-    the key. With both lines deleted it replays."""
+    """A manifest that still sets a retired key does not replay: it names
+    the line and the key. With all seven lines deleted it replays."""
     manifest = tmp_path / "manifest.txt"
     text = OLD_MANIFEST.format(edges=dataset / "edges.txt", out=tmp_path / "run")
-    for setting, line in (("deterministic=true", 8), ("workers=1", 29)):
+    for setting in RETIRED:
+        line = text.splitlines().index(setting) + 1
         manifest.write_text(text)
         assert main(["run", "--config", str(manifest)]) == 2
         key = setting.split("=")[0]
@@ -443,36 +462,3 @@ def test_build_rejects_raw_node_named_like_an_attribute_key(tmp_path, capsys):
     assert main(["build", "--edges", str(tmp_path / "edges.txt"), "--attrs", str(tmp_path / "attrs.txt"),
                  "--out", str(tmp_path / "b")]) == 2
     assert "node 'a0' would share its embedding key with attribute 0" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("scales, message", [
-    ("2.0\nabc\n", "attr scale line 2: bad value 'abc'"),
-    ("# per attribute\n\n2.0\nnan\n", "attr scale line 4: non-finite value nan"),
-    ("2.0\n-1\n", "attr scale line 2: negative value -1.0"),
-    ("2.0 3.0\n", "attr scale line 1: expected 'scale'"),
-    ("2.0\n0\n", "attr_scale of attribute 1 is 0.0; it must be positive and finite"),
-    (None, "--attr-scale-file is required"),
-], ids=["bad-value", "non-finite", "negative", "two-fields", "zero-in-use", "missing-file"])
-def test_attr_scale_file_errors(dataset, tmp_path, capsys, scales, message):
-    """fane build exits 2 naming the scale file's line; fane run fails its
-    build stage and writes no embedding."""
-    config = [f"edges={dataset / 'edges.txt'}", f"attrs={dataset / 'attrs.txt'}", "attr_weight=scale"]
-    if scales is not None:
-        (tmp_path / "scale.txt").write_text(scales)
-        config.append(f"attr_scale_file={tmp_path / 'scale.txt'}")
-    (tmp_path / "fane.cfg").write_text("\n".join(config) + "\n")
-    assert main(["build", "--config", str(tmp_path / "fane.cfg"), "--out", str(tmp_path / "b")]) == 2
-    assert message in capsys.readouterr().err
-    assert main(["run", "--config", str(tmp_path / "fane.cfg"), "--out", str(tmp_path / "r")]) == 3
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "r" / "embeddings.txt").exists()
-
-
-def test_attr_scale_file_scales_virtual_edges(dataset, tmp_path):
-    (tmp_path / "scale.txt").write_text("# attribute 0, then 1\n2.5\n\n0.5\n")
-    out = tmp_path / "b"
-    assert main(["build", "--edges", str(dataset / "edges.txt"), "--attrs", str(dataset / "attrs.txt"),
-                 "--attr-weight", "scale", "--attr-scale-file", str(tmp_path / "scale.txt"),
-                 "--out", str(out), "--dump"]) == 0
-    dump = (out / "augmented.txt").read_text()
-    assert "attr 0 : 0(2.5) 1(2.5)\n" in dump and "attr 1 : 2(0.5) 3(0.5)\n" in dump

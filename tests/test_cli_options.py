@@ -49,12 +49,21 @@ def test_readme_cli_commands_parse():
                                               "bench", "run"}
     for argv in commands:
         build_parser().parse_args(argv)
+    # every flag the README names, outside its pytest lines, is a flag of some command
+    flags = {f for p in _commands().values() for a in p._actions for f in a.option_strings}
+    named = {f for line in README.read_text().splitlines() if "pytest" not in line
+             for f in re.findall(r"(?<![\w-])--[a-z][a-z-]*", line)}
+    assert named and named <= flags, sorted(named - flags)
+
+
+def _commands():
+    """Command name -> its subparser."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def _actions(command):
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return sub.choices[command]._actions
+    return _commands()[command]._actions
 
 
 @pytest.mark.parametrize("command", CONFIG_COMMANDS)

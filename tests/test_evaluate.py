@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fane import evaluate
-from fane.evaluate import (LinearSVM, SplitSpec, evaluate_classification,
+from fane.evaluate import (LinearSVM, evaluate_classification,
                            kmeans, macro_f1, micro_f1, pca_top_components,
                            project_2d, silhouette_score, split,
                            stratified_split)
@@ -26,11 +26,17 @@ def test_split_even():
 
 def test_split_deterministic_by_seed():
     labels = np.repeat([0, 1, 2], 10)
-    spec = SplitSpec(train_ratio=0.3, repetitions=3, seed=7)
-    a = split(labels, spec)
-    b = split(labels, spec)
+    a = split(labels, 0.3, 3, seed=7)
+    b = split(labels, 0.3, 3, seed=7)
+    assert len(a) == 3
     for (t1, e1), (t2, e2) in zip(a, b):
         assert np.array_equal(t1, t2) and np.array_equal(e1, e2)
+    for ratio in (0.0, 1.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"train_ratio must be in \(0, 1\)"):
+            split(labels, ratio, 3, seed=7)
+    for repetitions in (0, -1):
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            split(labels, 0.3, repetitions, seed=7)
 
 
 def test_split_stratified_counts():

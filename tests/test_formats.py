@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fane import EmbeddingMatrix, GraphFormatError, graph, load_attributes, load_edge_list, load_labels
 from fane.cli import main
 from fane.graph import read_records
+from fane.walks import load_corpus_tokens
 
 from oracles.edge_records import load_edge_records
 
@@ -58,14 +59,15 @@ def test_attribute_index_must_fit_32_bits(tmp_path, capsys):
     ("", "line 1: bad header"),
     ("2\n", "line 1: bad header"),
     ("two 1\n", "line 1: bad header"),
+    ("\u00b2 2\n", "line 1: bad header"),
     ("2 0\n", "line 1: bad header"),
     ("2 2\na 0.5 1\nb 0.5\n", "line 3: expected a key and 2 values, got 2 fields"),
     ("2 2\na 0.5 1\n", "line 3: expected a key and 2 values, got 0 fields"),
     ("2 2\na 0.5 1\nb x 1\n", "line 3: could not convert string to float: 'x'"),
     ("2 1\na 0.5\nb 0.5\n\nc 0.5\n", "line 5: row beyond the header's count of 2"),
     ("3 1\na 0.5\nb 0.5\na 0.7\n", "line 4: key 'a' repeats line 2"),
-], ids=["empty", "one-field", "non-integer", "zero-dimension", "short-row", "missing-row",
-        "non-numeric", "extra-row", "repeated-key"])
+], ids=["empty", "one-field", "non-integer", "superscript", "zero-dimension", "short-row",
+        "missing-row", "non-numeric", "extra-row", "repeated-key"])
 def test_text_embedding_errors_name_file_line(tmp_path, capsys, text, message):
     path = tmp_path / "emb.txt"
     path.write_text(text)
@@ -76,6 +78,16 @@ def test_text_embedding_errors_name_file_line(tmp_path, capsys, text, message):
                "--out", str(tmp_path / "report.csv")])
     assert rc == 2
     assert f"embedding file {message}" in capsys.readouterr().err
+
+
+def test_non_ascii_utf8_text_parses(tmp_path):
+    """Tokens outside ASCII are valid UTF-8: the corpus and text embedding
+    readers keep them."""
+    path = tmp_path / "in.txt"
+    path.write_text("\u00e9 \u4e2d\n\u4e2d \u00e9\n", encoding="utf-8")
+    assert load_corpus_tokens(path)[1] == ["\u00e9", "\u4e2d"]
+    path.write_text("2 1\n\u00e9 0.5\n\u4e2d -0.5\n", encoding="utf-8")
+    assert EmbeddingMatrix.load_text(path).keys == ["\u00e9", "\u4e2d"]
 
 
 def _binary_row(key: bytes, values) -> bytes:
@@ -179,7 +191,7 @@ def test_edge_scanner_matches_records(data):
 @given(ATTR_FILES)
 @settings(max_examples=150, deadline=None)
 def test_attribute_scanner_matches_records(data):
-    kind, want = _outcome(graph._load_attribute_records, data, _base_graph(), "sparse")
+    kind, want = _outcome(graph._load_attribute_records, data, _base_graph())
     if kind == "ok":
         g = _base_graph()
         g.n_attrs, g.attr_node, g.attr_id, g.attr_value = graph._scan_sparse_attributes(data, g)
@@ -190,8 +202,9 @@ def test_attribute_scanner_matches_records(data):
     assert _outcome(load_attributes, data, _base_graph())[0] == kind
 
 
-# the last two are wider than the scanner's integers (18 bytes) and decimals (32)
-CORRUPTIONS = ["x", "-1", "0", "nan", "inf", "1e999", "", "a b c d", "\u0663", "1_0x",
+# the last two are wider than the scanner's integers (18 bytes) and decimals (32);
+# "\udcff" is written as the byte 0xff, which is not UTF-8
+CORRUPTIONS = ["x", "-1", "0", "nan", "inf", "1e999", "", "a b c d", "\u0663", "1_0x", "\udcff",
                "9" * 19, "0." + "0" * 30 + "1"]
 
 
@@ -213,13 +226,14 @@ def test_one_corrupted_line_raises_the_per_record_message(rows, draw):
     bad = draw.draw(st.sampled_from(CORRUPTIONS))
     edges = [f"{u} {v + 31} {w!r}" for u, v, w in rows]
     edges[k] = f"{rows[k][0]} {rows[k][1] + 31} {bad}".strip()
-    kind, message = _same_result(load_edge_list, graph._load_edge_records, ("\n".join(edges) + "\n").encode())
+    kind, message = _same_result(load_edge_list, graph._load_edge_records,
+                                 ("\n".join(edges) + "\n").encode(errors="surrogateescape"))
     assert kind == "ok" or f"line {k + 1}:" in message
     attrs = [f"{NAMES[u % len(NAMES)]} {v} {w!r}" for u, v, w in rows]
     attrs[k] = f"{NAMES[rows[k][0] % len(NAMES)]} {bad} {rows[k][2]!r}"
     _same_result(lambda d, g: load_attributes(d, g),
-                 lambda d, g: graph._load_attribute_records(d, g, "sparse"),
-                 ("\n".join(attrs) + "\n").encode(), _base_graph)
+                 graph._load_attribute_records,
+                 ("\n".join(attrs) + "\n").encode(errors="surrogateescape"), _base_graph)
 
 
 def test_decimals_read_and_reject_as_float_does():
@@ -313,6 +327,6 @@ def test_scanner_peak_memory_at_most_per_record(tmp_path):
             tracemalloc.stop()
     scanned = peak(load_attributes, path, g)
     state = _state(g)
-    per_record = peak(graph._load_attribute_records, path, g, "sparse")
+    per_record = peak(graph._load_attribute_records, path, g)
     assert _state(g) == state
     assert scanned <= per_record, (scanned, per_record)

@@ -95,18 +95,6 @@ def _path_graph():
     return load_edge_list(io.StringIO("0 1\n1 2\n"))
 
 
-def test_dense_attributes():
-    g = _path_graph()
-    load_attributes(io.StringIO("1 0 1\n0 1 0\n1 1 1\n"), g, fmt="dense")
-    assert g.n_attrs == 3
-    entries = set(zip(g.attr_node.tolist(), g.attr_id.tolist(), g.attr_value.tolist()))
-    assert entries == {(0, 0, 1.0), (0, 2, 1.0), (1, 1, 1.0), (2, 0, 1.0),
-                       (2, 1, 1.0), (2, 2, 1.0)}
-    # an empty dense file has no columns
-    load_attributes(io.StringIO(""), g, fmt="dense")
-    assert g.n_attrs == 0 and g.nnz_attributes == 0
-
-
 def test_sparse_attribute_errors():
     g = _path_graph()
     with pytest.raises(GraphFormatError, match="unknown node"):
@@ -122,22 +110,6 @@ def test_attribute_non_finite_value(token):
     g = _path_graph()
     with pytest.raises(GraphFormatError, match="line 2: non-finite value"):
         load_attributes(io.StringIO(f"0 0\n1 0 {token}\n"), g)
-    with pytest.raises(GraphFormatError, match="line 2: non-finite value"):
-        load_attributes(io.StringIO(f"1 0 1\n0 {token} 1\n"), g, fmt="dense")
-
-
-def test_dense_attribute_errors():
-    g = _path_graph()
-    with pytest.raises(GraphFormatError, match="columns"):
-        load_attributes(io.StringIO("1 0\n1\n"), g, fmt="dense")
-    with pytest.raises(GraphFormatError, match="exceeds node count"):
-        load_attributes(io.StringIO("1\n1\n1\n1\n"), g, fmt="dense")
-    # a row past the node count reports its bad value or column count first
-    two = load_edge_list(io.StringIO("0 1\n"))
-    with pytest.raises(GraphFormatError, match="^attribute line 3: bad value 'x'$"):
-        load_attributes(io.StringIO("1 1\n1 1\n1 x\n"), two, fmt="dense")
-    with pytest.raises(GraphFormatError, match="^attribute line 3: expected 2 columns, got 1$"):
-        load_attributes(io.StringIO("1 1\n1 1\n1\n"), two, fmt="dense")
 
 
 def test_labels_load_and_errors():
@@ -226,25 +198,9 @@ def test_attribute_node_degree_equals_incidence():
 def test_attr_edge_weight_rules():
     g = load_edge_list(io.StringIO("0 1\n"))
     load_attributes(io.StringIO("0 0 2.5\n1 0 4.0\n"), g)
-    ag = build_augmented(g)  # default: weight = attribute value
+    ag = build_augmented(g)  # weight = attribute value
     nbrs, wgts = ag.neighbor_slice(2)
     assert wgts.tolist() == [2.5, 4.0]
-    ag = build_augmented(g, attr_weight="uniform", uniform_weight=0.5)
-    _, wgts = ag.neighbor_slice(2)
-    assert wgts.tolist() == [0.5, 0.5]
-    ag = build_augmented(g, attr_weight="scale", attr_scale=np.array([2.0]))
-    _, wgts = ag.neighbor_slice(2)
-    assert wgts.tolist() == [5.0, 8.0]
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
-def test_attr_scale_must_be_positive_and_finite_where_used(bad):
-    g = load_edge_list(io.StringIO("0 1\n"))
-    load_attributes(io.StringIO("0 1 2.5\n1 1 4.0\n"), g)
-    with pytest.raises(ValueError, match=f"attr_scale of attribute 1 is {bad}; it must be positive"):
-        build_augmented(g, attr_weight="scale", attr_scale=np.array([1.0, bad]))
-    ag = build_augmented(g, attr_weight="scale", attr_scale=np.array([bad, 2.0]))   # attribute 0 is unused
-    assert ag.neighbor_slice(2)[1].tolist() == [5.0, 8.0]
 
 
 def test_save_load_round_trip_bit_exact(tmp_path):

@@ -127,10 +127,10 @@ def test_tau_zero_bigrams_match_distributions(strategy, p, q):
 
 @pytest.mark.parametrize("strategy", [SF, TF, STF])
 def test_sample_next_fits_pi_on_every_state_with_raw_beta(strategy):
-    """beta_graph='raw' counts only raw edges as adjacency; at p = 0.25 the
-    return edge is an outlier. Every state of the graph, first steps too."""
+    """At p = 0.25 the return edge is an outlier: 1/p = 4 is above the
+    envelope c = max(1, 1/q) = 1. Every state of the graph, first steps too."""
     ag = _ring_with_attributes()
-    params = WalkParams(p=0.25, q=4.0, r=0.5, strategy=strategy, beta_graph="raw")
+    params = WalkParams(p=0.25, q=4.0, r=0.5, strategy=strategy)
     model = preprocess_transitions(ag, params, tau=0)
     pvalues = []
     for v in range(ag.n_total):

@@ -151,22 +151,6 @@ def test_sf_with_raw_source_ignores_r(five_node_graph):
         assert np.array_equal(lo, hi)
 
 
-def test_beta_graph_raw_flag():
-    g = load_edge_list(io.StringIO("0 1\n"))
-    load_attributes(io.StringIO("0 0\n1 0\n"), g)
-    ag = build_augmented(g)
-    attr = ag.n_raw  # unified id 2
-    # state (u=attr, v=0): target x=1 is connected to u only by a virtual edge
-    aug = transition_distribution(ag, WalkParams(p=1, q=0.25, r=1, strategy=TF,
-                                                 beta_graph="augmented"), attr, 0)
-    raw = transition_distribution(ag, WalkParams(p=1, q=0.25, r=1, strategy=TF,
-                                                 beta_graph="raw"), attr, 0)
-    nbrs, _ = ag.neighbor_slice(0)
-    x1 = int(np.nonzero(nbrs == 1)[0][0])
-    # augmented counts the virtual edge: beta = 1; raw does not: beta = 1/q = 4
-    assert raw[x1] > aug[x1]
-
-
 def test_distribution_sums_to_one(five_node_graph):
     params = WalkParams(p=3.0, q=0.15, r=2.0)
     for u, v in _directed_states(five_node_graph):
@@ -289,8 +273,7 @@ def test_batched_tables_match_per_state_reference(data):
     ag = data.draw(_attributed_graphs())
     bias = st.floats(0.1, 10.0).filter(lambda b: b != 1.0)
     params = WalkParams(p=data.draw(bias), q=data.draw(bias), r=data.draw(bias),
-                        strategy=data.draw(st.sampled_from(STRATEGIES)),
-                        beta_graph=data.draw(st.sampled_from(["augmented", "raw"])))
+                        strategy=data.draw(st.sampled_from(STRATEGIES)))
     deg = np.diff(ag.indptr)
     lo, hi = int(deg.min()), int(deg.max())
     tau = data.draw(st.integers(lo, max(lo, hi - 1)))
@@ -393,12 +376,6 @@ def test_corpus_includes_attr_starts_unless_disabled(five_node_graph):
     assert corpus.n_walks == 2 * 6
     assert (corpus.walks[:, 0] >= five_node_graph.n_raw).sum() == 2
 
-    params = WalkParams(walk_length=4, walks_per_node=2, seed=5, raw_starts_only=True)
-    model = preprocess_transitions(five_node_graph, params)
-    corpus = generate_corpus(five_node_graph, model)
-    assert corpus.n_walks == 2 * 5
-    assert np.all(corpus.walks[:, 0] < five_node_graph.n_raw)
-
 
 def test_determinism_across_runs_and_workers(five_node_graph, monkeypatch):
     """Runs and chunk sizes cannot change a corpus: 4-walker chunks
@@ -465,13 +442,12 @@ def test_attr_bridge_rarely_crossed_at_huge_r():
     g = load_edge_list(io.StringIO("0 1\n1 2\n3 4\n4 5\n"))
     load_attributes(io.StringIO("0 0\n3 0\n"), g)
     ag = build_augmented(g)
-    params = WalkParams(r=1e6, strategy=TF, walk_length=10, walks_per_node=20000,
-                        seed=21, raw_starts_only=True)
+    params = WalkParams(r=1e6, strategy=TF, walk_length=10, walks_per_node=20000, seed=21)
     model = preprocess_transitions(ag, params)
     corpus = generate_corpus(ag, model)
-    assert corpus.n_walks >= 100_000
-    non_start = corpus.walks[:, 1:]
-    frac = float((non_start >= ag.n_raw).mean())
+    raw_rows = corpus.walks[corpus.walks[:, 0] < ag.n_raw]
+    assert len(raw_rows) >= 100_000
+    frac = float((raw_rows[:, 1:] >= ag.n_raw).mean())
     assert frac < 0.001
 
 
@@ -515,8 +491,6 @@ def test_walk_params_validation():
         WalkParams(walk_length=1)
     with pytest.raises(ValueError):
         WalkParams(strategy="bogus")
-    with pytest.raises(ValueError):
-        WalkParams(beta_graph="nope")
 
 
 def test_corpus_save_bytes_match_per_token_writer(five_node_graph, data_root, tmp_path):
