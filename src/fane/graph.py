@@ -52,9 +52,10 @@ def _open_text(source):
 # parser, which gives the same graph or names the bad line. load_labels
 # parses per record: on label files the scanner measured no faster.
 
-# Bytes per block, each ending on a newline; 256 KB keeps the scanner's peak
-# below the per-record parser's.
-_BLOCK_BYTES = 1 << 18
+# Bytes per block, each ending on a newline. 128 KB keeps one block's
+# temporaries below the key and order of the attribute sort, where the scanner
+# holds the file's bytes and the per-record parser its line numbers.
+_BLOCK_BYTES = 1 << 17
 # Largest padded name matrix, in bytes, that one np.unique sorts.
 _NAME_BYTES = 1 << 22
 # Longest number token the scanner parses.
@@ -489,7 +490,8 @@ def load_attributes(source, g: AttributedGraph) -> AttributedGraph:
         g.n_attrs, g.attr_node, g.attr_id, g.attr_value = _scan_sparse_attributes(data, g)
         return g
     except _Declined:
-        return _load_attribute_records(source, g)
+        pass    # parse outside the handler, whose traceback holds the scanner's arrays
+    return _load_attribute_records(source, g)
 
 
 def _load_attribute_records(source, g: AttributedGraph) -> AttributedGraph:
@@ -504,20 +506,14 @@ def _load_attribute_records(source, g: AttributedGraph) -> AttributedGraph:
         attrs.append(a)
         values.append(x)
         lines.append(lineno)
-    node_arr = np.frombuffer(nodes, np.int32)
-    attr_arr = np.frombuffer(attrs, np.int32)
-    order = np.lexsort((attr_arr, node_arr))
-    node_arr, attr_arr = node_arr[order], attr_arr[order]
-    _reject_duplicates(g, node_arr, attr_arr, np.frombuffer(lines, np.int64)[order])
-    g.n_attrs = int(attr_arr.max(initial=-1)) + 1
-    g.attr_node = node_arr
-    g.attr_id = attr_arr
-    g.attr_value = np.frombuffer(values, np.float64)[order]
+    g.n_attrs, g.attr_node, g.attr_id, g.attr_value = _attribute_matrix(
+        g, *map(np.asarray, (nodes, attrs, values, lines)))     # views of the arrays' buffers
     return g
 
 
-def _known_nodes(g: AttributedGraph):
-    """A resolve function for _name_ids that maps names to g's node ids."""
+def _scan_sparse_attributes(data: bytes, g: AttributedGraph):
+    """(n_attrs, nodes, attrs, values) of a sparse attribute file by the bulk
+    scanner, sorted by (node, attr); raises _Declined on any fault."""
     lookup = g.name_to_id()
 
     def known(names):
@@ -525,13 +521,7 @@ def _known_nodes(g: AttributedGraph):
         if -1 in ids:
             raise _Declined
         return ids
-    return known
 
-
-def _scan_sparse_attributes(data: bytes, g: AttributedGraph):
-    """(n_attrs, nodes, attrs, values) of a sparse attribute file by the bulk
-    scanner, sorted by (node, attr); raises _Declined on any fault."""
-    known = _known_nodes(g)
     size = data.count(b"\n") + 1    # at least the number of data lines
     nodes, attrs, values = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)
     filled = 0
@@ -544,32 +534,37 @@ def _scan_sparse_attributes(data: bytes, g: AttributedGraph):
         attrs[rows] = a
         values[rows] = _optional_decimals(b, 2)
         filled = rows.stop
-    nodes, attrs, values = nodes[:filled], attrs[:filled], values[:filled]
-    _positive_finite(values)
+    b = a = None    # free the last block's token arrays before the sort
+    _positive_finite(values[:filled])
+    return _attribute_matrix(g, nodes[:filled], attrs[:filled], values[:filled])
+
+
+def _attribute_matrix(g: AttributedGraph, nodes, attrs, values, lines=None):
+    """(n_attrs, nodes, attrs, values) of the entries, sorted by (node, attr)
+    in place, so no second copy of a column is held.
+
+    A repeated (node, attr) pair raises GraphFormatError naming the repeat
+    earliest in the file from ``lines``, or _Declined without them.
+    """
     key = nodes.astype(np.int64)
     key <<= 31
     key |= attrs
-    order = np.argsort(key)
+    order = np.argsort(key)     # distinct keys have one sorted order
     del key
-    nodes, attrs = nodes[order], attrs[order]
-    if ((nodes[1:] == nodes[:-1]) & (attrs[1:] == attrs[:-1])).any():
-        raise _Declined
-    return int(attrs.max(initial=-1)) + 1, nodes, attrs, values[order]
-
-
-def _reject_duplicates(g: AttributedGraph, nodes, attrs, lines) -> None:
-    """Raise for the (node, attr) pair repeated earliest in the file.
-
-    The rows are sorted by (node, attr) with ties in file order, so a repeat
-    sits right after an earlier line of the same pair.
-    """
+    for column in (nodes, attrs, values):
+        column[:] = column[order]
     repeat = np.flatnonzero((nodes[1:] == nodes[:-1]) & (attrs[1:] == attrs[:-1])) + 1
     if len(repeat):
+        if lines is None:
+            raise _Declined
+        lines = lines[order]
+        lines = lines[np.lexsort((lines, attrs, nodes))]    # ties in file order
         i = repeat[np.argmin(lines[repeat])]
         raise GraphFormatError(
             f"attribute line {lines[i]}: duplicate entry for node {g.node_names[nodes[i]]!r} "
             f"attr {attrs[i]} (first at line {lines[i - 1]})"
         )
+    return int(attrs.max(initial=-1)) + 1, nodes, attrs, values
 
 
 def load_labels(source, g: AttributedGraph) -> AttributedGraph:

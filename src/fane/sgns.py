@@ -23,6 +23,7 @@ corpus), so relabeling node ids permutes the output rows and nothing else.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,7 +161,9 @@ class EmbeddingMatrix:
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
             n, d = _header(valid_utf8(f.readline(), "embedding file", 1))
             keys = {}   # key -> file line
-            vecs = np.empty((n, d), np.float32)
+            # a row is at least 2d + 1 bytes: a header count beyond what the
+            # file holds fails on its first missing row, not in np.empty
+            vecs = np.empty((min(n, os.fstat(f.fileno()).st_size // (2 * d + 1)), d), np.float32)
             for line in range(2, n + 2):
                 parts = valid_utf8(f.readline(), "embedding file", line).split()
                 if len(parts) != d + 1:
@@ -192,7 +195,7 @@ class EmbeddingMatrix:
             n, d = _header(f.readline().decode("ascii", "surrogateescape"))
             data = f.read()
         keys = {}   # key -> file line
-        vecs = np.empty((n, d), np.float32)
+        vecs = np.empty((min(n, len(data) // (4 * d + 2)), d), np.float32)    # a row is >= 4d + 2 bytes
         pos = 0
         for line in range(2, n + 2):
             sp = data.find(b" ", pos)
@@ -200,7 +203,8 @@ class EmbeddingMatrix:
             if sp < 0 or data[end:end + 1] != b"\n":
                 raise ValueError(f"embedding file line {line}: expected a key, a space, "
                                  f"{d} float32 values and a newline")
-            _add_key(keys, data[pos:sp].decode(), line)
+            key = data[pos:sp].decode("utf-8", "surrogateescape")
+            _add_key(keys, valid_utf8(key, "embedding file", line), line)
             vecs[line - 2] = np.frombuffer(data, "<f4", d, sp + 1)
             pos = end + 1
         if pos < len(data):

@@ -66,8 +66,9 @@ def test_attribute_index_must_fit_32_bits(tmp_path, capsys):
     ("2 2\na 0.5 1\nb x 1\n", "line 3: could not convert string to float: 'x'"),
     ("2 1\na 0.5\nb 0.5\n\nc 0.5\n", "line 5: row beyond the header's count of 2"),
     ("3 1\na 0.5\nb 0.5\na 0.7\n", "line 4: key 'a' repeats line 2"),
+    ("99999999999 128\na" + " 0.5" * 128 + "\n", "line 3: expected a key and 128 values, got 0 fields"),
 ], ids=["empty", "one-field", "non-integer", "superscript", "zero-dimension", "short-row",
-        "missing-row", "non-numeric", "extra-row", "repeated-key"])
+        "missing-row", "non-numeric", "extra-row", "repeated-key", "huge-count"])
 def test_text_embedding_errors_name_file_line(tmp_path, capsys, text, message):
     path = tmp_path / "emb.txt"
     path.write_text(text)
@@ -104,8 +105,10 @@ def _binary_row(key: bytes, values) -> bytes:
      "line 4: row beyond the header's count of 2"),
     (b"3 2\n" + b"".join(_binary_row(k, [1, 2]) for k in (b"a", b"b", b"b")),
      "line 4: key 'b' repeats line 3"),
+    (b"1 2\n" + _binary_row(b"\xff", [1, 2]), "line 2: not valid UTF-8"),
+    (b"99999999999 128\n" + _binary_row(b"a", range(128)), "line 3: expected a key, a space, 128 float32"),
 ], ids=["empty", "non-integer", "truncated-key", "short-vector", "no-newline", "extra-row",
-        "repeated-key"])
+        "repeated-key", "non-utf8-key", "huge-count"])
 def test_binary_embedding_errors_name_file_line(tmp_path, capsys, data, message):
     path = tmp_path / "emb.bin"
     path.write_bytes(data)
@@ -199,7 +202,7 @@ def test_attribute_scanner_matches_records(data):
     else:
         with pytest.raises(graph._Declined):
             graph._scan_sparse_attributes(data, _base_graph())
-    assert _outcome(load_attributes, data, _base_graph())[0] == kind
+    _same_result(load_attributes, graph._load_attribute_records, data, _base_graph)
 
 
 # the last two are wider than the scanner's integers (18 bytes) and decimals (32);
