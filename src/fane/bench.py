@@ -127,7 +127,6 @@ class BenchSpec:
     repetitions: int = 3
     seed: int = 1
     tau: int = 128
-    timeout_seconds: float | None = None
 
     def __post_init__(self):
         for v in (*self.node_counts, *self.attr_counts, self.attr_n_nodes,
@@ -225,10 +224,6 @@ def run_scaling(spec: BenchSpec, run_nodes: bool = True, run_attrs: bool = True)
             sizes.append(size)
             totals.append(total)
             logger.info("bench %s size=%d total=%.3fs", series, size, total)
-            if spec.timeout_seconds is not None and total > spec.timeout_seconds:
-                logger.warning("bench %s: point %d exceeded timeout; aborting series",
-                               series, point)
-                break
         return ols_fit(sizes, totals)
 
     if run_nodes:

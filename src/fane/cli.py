@@ -349,10 +349,8 @@ def cmd_bench(args, cfg) -> int:
         repetitions=args.reps,
         seed=cfg["seed"],
         tau=args.tau,
-        timeout_seconds=args.timeout,
     )
-    result = run_scaling(spec, run_nodes=bool(spec.node_counts),
-                         run_attrs=bool(spec.attr_counts))
+    result = run_scaling(spec)
     out = Path(args.out)
     for series, sizes, fit, path in (
             ("nodes", spec.node_counts, result.node_fit, out),
@@ -470,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attr-nodes", type=int, default=1000, dest="attr_nodes")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--tau", type=int, default=128)
-    p.add_argument("--timeout", type=float, help="per-point timeout in seconds")
     p.add_argument("--out", required=True)
 
     p = command("run", cmd_run, "full pipeline with manifest")

@@ -26,7 +26,7 @@ class DatasetSpec:
     n_nodes: int
     n_edges: int
     n_attrs: int
-    class_sizes: tuple | None      # None: unlabeled; attribute id doubles as class
+    class_sizes: tuple             # nodes per class (adjnoun: per word class)
     intra_fraction: float          # fraction of edges inside a class
     words_per_node: float          # mean attribute count per node (Poisson)
     min_words: int
@@ -35,7 +35,6 @@ class DatasetSpec:
     word_confusion_prob: float     # chance a class word comes from a random class
     seed: int
     subcommunities: int = 1        # tight sub-blocks per class (topics)
-    sub_loyalty: float = 0.85      # intra-class edges landing inside the sub-block
     label_noise: float = 0.0       # fraction of recorded labels flipped
 
 
@@ -73,6 +72,8 @@ SPECS = {
 # adjnoun carries no ground-truth label column; its two attributes are the
 # word classes themselves
 _UNLABELED = ("adjnoun",)
+# share of intra-class edges that land inside the node's sub-block
+_SUB_LOYALTY = 0.85
 
 
 def _subcommunity_of(spec: DatasetSpec, labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -104,7 +105,7 @@ def _planted_edges(spec: DatasetSpec, labels: np.ndarray, sub: np.ndarray,
         want = spec.n_edges - len(edges)
         take = max(64, int(want * 1.3))
         intra = rng.random(take) < spec.intra_fraction
-        loyal = rng.random(take) < spec.sub_loyalty
+        loyal = rng.random(take) < _SUB_LOYALTY
         cls = rng.choice(len(sizes), size=take, p=class_prob)
         for i in range(take):
             if intra[i]:

@@ -46,11 +46,11 @@ def _open_text(source):
             f.detach()
 
 
-# load_edge_list and load_attributes read a file's bytes once and
-# parse them with numpy block by block. On a byte or number the scanner does
-# not define, or on any fault, they hand the same text to the per-record
-# parser, which gives the same graph or names the bad line. load_labels
-# parses per record: on label files the scanner measured no faster.
+# load_attributes reads a sparse attribute file's bytes once and parses them
+# with numpy block by block. On a byte or number the scanner does not define,
+# or on any fault, it hands the same text to the per-record parser, which
+# gives the same matrix or names the bad line. load_edge_list and load_labels
+# parse per record: on edge and label files the scanner measured no faster.
 
 # Bytes per block, each ending on a newline. 128 KB keeps one block's
 # temporaries below the key and order of the attribute sort, where the scanner
@@ -108,7 +108,7 @@ def _blocks(data: bytes):
     """Yield the data lines of ``data`` block by block.
 
     Raises _Declined on a byte the scanner does not define or on a data line
-    with other than 2 or 3 fields, the layout of both scanned formats. Lines
+    with other than 2 or 3 fields, the layout "node attr [value]". Lines
     whose first field starts with '#' are comments.
     """
     pos = 0
@@ -149,23 +149,19 @@ def _padded(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int) -
     return mat.view(f"S{width}").ravel()
 
 
-def _name_ids(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, resolve) -> np.ndarray:
-    """Id of each name token.
-
-    ``resolve`` takes a list of distinct names in first-seen order and
-    returns their ids; the tokens go to it in batches of at most
-    ``_NAME_BYTES`` padded bytes, which one np.unique maps.
-    """
+def _name_ids(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, lookup: dict) -> np.ndarray:
+    """Id of each name token in ``lookup``; raises _Declined on a name it
+    lacks. The tokens are looked up in batches of at most ``_NAME_BYTES``
+    padded bytes, each made distinct by one np.unique."""
     out = np.empty(len(starts), np.int64)
     width = max(8, int((ends - starts).max(initial=0)))
     step = max(1, _NAME_BYTES // width)
     for lo in range(0, len(starts), step):
         keys = _padded(buf, starts[lo:lo + step], ends[lo:lo + step], width)
-        uniq, first, inverse = np.unique(keys.view(np.uint64) if width == 8 else keys,
-                                         return_index=True, return_inverse=True)
-        seen = np.argsort(first)
-        ids = np.empty(len(uniq), np.int64)
-        ids[seen] = resolve(uniq[seen].view(f"S{width}").astype(str).tolist())
+        uniq, inverse = np.unique(keys.view(np.uint64) if width == 8 else keys, return_inverse=True)
+        ids = np.array([lookup.get(name, -1) for name in uniq.view(f"S{width}").astype(str).tolist()])
+        if (ids < 0).any():
+            raise _Declined
         out[lo:lo + step] = ids[inverse]
     return out
 
@@ -203,9 +199,9 @@ def _decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarr
         raise _Declined from None
 
 
-def _optional_decimals(b: _Block, k: int, default: float = 1.0) -> np.ndarray:
-    """Field k of each data line as float64, ``default`` where it is absent."""
-    out = np.full(len(b.head), default)
+def _optional_decimals(b: _Block, k: int) -> np.ndarray:
+    """Field k of each data line as float64, 1.0 where it is absent."""
+    out = np.ones(len(b.head))
     has = np.flatnonzero(b.count > k)
     out[has] = _decimals(b.buf, *b.field(k, has))
     return out
@@ -341,15 +337,22 @@ class AttributedGraph:
         )
 
     def save(self, out_dir) -> None:
-        """Write edges/attrs/labels/nodemap text files that load back bit-exactly."""
+        """Write edges/attrs/labels/nodemap text files.
+
+        :meth:`load_dir` reads back the same names, edges, weights,
+        attributes and labels, but numbers the nodes in the first-seen order
+        of the edge lines; nodemap.txt maps those ids to names.
+        """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "edges.txt", "w", encoding="utf-8") as f:
             for a, b, w in zip(self.edge_src, self.edge_dst, self.edge_weight):
                 f.write(f"{self.node_names[a]} {self.node_names[b]} {float(w)!r}\n")
+        ends = np.stack([self.edge_src, self.edge_dst], axis=1).ravel()     # in line order
+        first = np.sort(np.unique(ends, return_index=True)[1])
         with open(out / "nodemap.txt", "w", encoding="utf-8") as f:
-            for i, name in enumerate(self.node_names):
-                f.write(f"{i} {name}\n")
+            for i, v in enumerate(ends[first].tolist()):
+                f.write(f"{i} {self.node_names[v]}\n")
         if self.nnz_attributes:
             with open(out / "attrs.txt", "w", encoding="utf-8") as f:
                 for v, a, x in zip(self.attr_node, self.attr_id, self.attr_value):
@@ -379,43 +382,12 @@ class AttributedGraph:
 def load_edge_list(source) -> AttributedGraph:
     """Parse "src dst [weight]" lines into an AttributedGraph (edges only).
 
-    Lines starting with '#' are comments. Self-loops are dropped (counted),
-    duplicate undirected edges are merged by summing weights, and node ids
-    are remapped to dense integers in first-seen order. A node named only in
+    Lines starting with '#' are comments; the weight defaults to 1.0 and
+    must be positive and finite. Self-loops are dropped (counted), duplicate
+    undirected edges are merged by summing weights, and node ids are
+    remapped to dense integers in first-seen order. A node named only in
     self-loop lines would be left without neighbours, and raises
     GraphFormatError naming the first such line.
-    """
-    data, again = _read_once(source)
-    try:
-        g = _scan_edge_list(data)
-    except _Declined:
-        g = _load_edge_records(again)
-    if g.dropped_self_loops:
-        logger.warning("dropped %d self-loop(s) while loading edge list", g.dropped_self_loops)
-    return g
-
-
-def _scan_edge_list(data: bytes) -> AttributedGraph:
-    """load_edge_list by the bulk scanner; raises _Declined on any fault."""
-    ids: dict[str, int] = {}
-
-    def first_seen(names):
-        return [ids.setdefault(name, len(ids)) for name in names]
-
-    ends, weights = [np.empty((0, 2), np.int64)], [np.empty(0)]
-    for b in _blocks(data):
-        token = (b.head[:, None] + (0, 1)).ravel()      # src, dst in file order
-        ends.append(_name_ids(b.buf, b.starts[token], b.ends[token], first_seen).reshape(-1, 2))
-        weights.append(_optional_decimals(b, 2))
-    w = np.concatenate(weights)
-    _positive_finite(w)
-    return _edge_graph(np.concatenate(ends), w, list(ids))
-
-
-def _load_edge_records(source) -> AttributedGraph:
-    """load_edge_list by the per-record parser, which names a bad line.
-
-    The weight defaults to 1.0 and must be positive and finite.
     """
     ids: dict[str, int] = {}
     ends, weights, lines = array("q"), array("d"), array("q")
@@ -432,17 +404,19 @@ def _load_edge_records(source) -> AttributedGraph:
         ends.append(ids.setdefault(fields[1], len(ids)))
         weights.append(w)
         lines.append(lineno)
-    return _edge_graph(np.frombuffer(ends, np.int64).reshape(-1, 2), np.frombuffer(weights),
-                       list(ids), np.frombuffer(lines, np.int64))
+    g = _edge_graph(np.frombuffer(ends, np.int64).reshape(-1, 2), np.frombuffer(weights),
+                    list(ids), np.frombuffer(lines, np.int64))
+    if g.dropped_self_loops:
+        logger.warning("dropped %d self-loop(s) while loading edge list", g.dropped_self_loops)
+    return g
 
 
-def _edge_graph(uv: np.ndarray, w: np.ndarray, names: list[str], lines=None) -> AttributedGraph:
+def _edge_graph(uv: np.ndarray, w: np.ndarray, names: list[str], lines: np.ndarray) -> AttributedGraph:
     """The graph of the (src, dst) id rows ``uv`` with weights ``w``, in file
     order: self-loops are dropped and duplicate undirected edges merged.
 
     An empty list, or a node named only in self-loops, raises
-    GraphFormatError naming the line from ``lines``, or _Declined without
-    them.
+    GraphFormatError naming the line from ``lines``.
     """
     n = len(names)
     loop = uv[:, 0] == uv[:, 1]
@@ -453,8 +427,6 @@ def _edge_graph(uv: np.ndarray, w: np.ndarray, names: list[str], lines=None) -> 
     head = np.diff(key, prepend=-1) != 0
     runs = np.flatnonzero(head)
     if not len(runs):
-        if lines is None:
-            raise _Declined
         raise GraphFormatError("edge list: no edges found")
     wgt = np.zeros(len(runs))
     np.add.at(wgt, np.cumsum(head) - 1, w[order])    # each edge's weights added in file order
@@ -463,8 +435,6 @@ def _edge_graph(uv: np.ndarray, w: np.ndarray, names: list[str], lines=None) -> 
     linked[src] = linked[dst] = True
     lonely = np.flatnonzero(loop & ~linked[uv[:, 0]])
     if len(lonely):
-        if lines is None:
-            raise _Declined
         i = lonely[0]
         raise GraphFormatError(f"edge list line {lines[i]}: node {names[uv[i, 0]]!r} appears only in "
                                "self-loops, which are dropped, and would have no neighbours")
@@ -515,19 +485,12 @@ def _scan_sparse_attributes(data: bytes, g: AttributedGraph):
     """(n_attrs, nodes, attrs, values) of a sparse attribute file by the bulk
     scanner, sorted by (node, attr); raises _Declined on any fault."""
     lookup = g.name_to_id()
-
-    def known(names):
-        ids = [lookup.get(name, -1) for name in names]
-        if -1 in ids:
-            raise _Declined
-        return ids
-
     size = data.count(b"\n") + 1    # at least the number of data lines
     nodes, attrs, values = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)
     filled = 0
     for b in _blocks(data):
         rows = slice(filled, filled + len(b.head))
-        nodes[rows] = _name_ids(b.buf, *b.field(0), known)
+        nodes[rows] = _name_ids(b.buf, *b.field(0), lookup)
         a = _integers(b.buf, *b.field(1))
         if ((a < 0) | (a >= 1 << 31)).any():
             raise _Declined
@@ -635,12 +598,6 @@ class AugmentedGraph:
         out[hit] = nbrs[pos[hit]] == x[hit]
         return out
 
-    def node_token(self, v: int) -> str:
-        """Render a unified id for text outputs: raw id, or a<attrid>."""
-        if v < self.n_raw:
-            return str(v)
-        return f"a{self.attr_ids[v - self.n_raw]}"
-
     def export_key(self, v: int) -> str:
         """Key used in embedding exports: original label or a<attrid>."""
         if v < self.n_raw:
@@ -648,7 +605,8 @@ class AugmentedGraph:
         return f"a{self.attr_ids[v - self.n_raw]}"
 
     def dump(self, sink) -> None:
-        """Debug dump: "kind id : neighbor(weight) ..." ordered by unified id."""
+        """Debug dump, one line per node in unified-id order: "raw <name> : ..."
+        or "attr <attrid> : ...", then each neighbor(weight) by export key."""
         close = False
         if isinstance(sink, (str, Path)):
             sink = open(sink, "w", encoding="utf-8")
@@ -656,9 +614,9 @@ class AugmentedGraph:
         try:
             for v in range(self.n_total):
                 kind = "raw" if v < self.n_raw else "attr"
-                ident = v if v < self.n_raw else int(self.attr_ids[v - self.n_raw])
+                ident = self.node_names[v] if v < self.n_raw else int(self.attr_ids[v - self.n_raw])
                 nbrs, wgts = self.neighbor_slice(v)
-                parts = " ".join(f"{self.node_token(int(x))}({float(w)!r})" for x, w in zip(nbrs, wgts))
+                parts = " ".join(f"{self.export_key(int(x))}({float(w)!r})" for x, w in zip(nbrs, wgts))
                 sink.write(f"{kind} {ident} : {parts}\n")
         finally:
             if close:

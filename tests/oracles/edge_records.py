@@ -1,8 +1,8 @@
-"""The per-record edge-list loader before both edge parsers fed one numpy
-builder: a dict merges duplicate edges with ``+=`` in file order, and the
-first self-loop line of each node names a node left without neighbours.
+"""The per-record edge-list loader before it fed a numpy builder: a dict
+merges duplicate edges with ``+=`` in file order, and the first self-loop
+line of each node names a node left without neighbours.
 ``fane.graph.load_edge_list`` must give the same graph, or raise the same
-GraphFormatError text, through the scanner and the per-record parser."""
+GraphFormatError text."""
 
 import math
 

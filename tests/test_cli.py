@@ -152,6 +152,29 @@ def test_build_walk_embed_eval_viz_chain(dataset, tmp_path, capsys):
     assert len(rows) == 6 and {row.split(",")[-1] for row in rows} <= {"c0", "c1"}
 
 
+def test_staged_chain_keys_each_token_to_its_node(tmp_path):
+    """`walk` renumbers the bundle's nodes in the first-seen order of its
+    edge lines, which differs from the input's here. The bundle's nodemap
+    must name the ids `walk` writes: every step of the corpus then maps to
+    an input edge. The `--dump` file names nodes, not ids."""
+    (tmp_path / "edges.txt").write_text("n0 n1\nn2 n3\nn1 n3\n")
+    edges = {frozenset(e) for e in (("n0", "n1"), ("n2", "n3"), ("n1", "n3"))}
+    bundle, corpus, emb = tmp_path / "bundle", tmp_path / "corpus.txt", tmp_path / "emb.txt"
+    assert main(["build", "--edges", str(tmp_path / "edges.txt"), "--out", str(bundle), "--dump"]) == 0
+    assert main(["walk", "--graph", str(bundle), "--out", str(corpus), "--walk-length", "10",
+                 "--walks-per-node", "5", "--seed", "1"]) == 0
+    assert main(["embed", "--corpus", str(corpus), "--out", str(emb), "--dim", "2", "--window", "1",
+                 "--epochs", "1", "--nodemap", str(bundle / "nodemap.txt")]) == 0
+    names = dict(line.split() for line in (bundle / "nodemap.txt").read_text().splitlines())
+    walks = [[names[t] for t in line.split()] for line in corpus.read_text().splitlines()]
+    assert all(frozenset(step) in edges for walk in walks for step in zip(walk, walk[1:]))
+    keys = sorted(line.split()[0] for line in emb.read_text().splitlines()[1:])
+    assert keys == ["n0", "n1", "n2", "n3"]
+    for line in (bundle / "augmented.txt").read_text().splitlines():
+        kind, name, _, *nbrs = line.split()
+        assert kind == "raw" and all(frozenset((name, x.split("(")[0])) in edges for x in nbrs)
+
+
 def test_run_pipeline_and_manifest_round_trip(dataset, tmp_path):
     out1 = tmp_path / "run1"
     args = ["run", "--edges", str(dataset / "edges.txt"),

@@ -33,10 +33,14 @@ def test_surrogate_augmented_invariants(data_root):
 
 
 def test_synthesis_is_deterministic(tmp_path, data_root):
+    """The shipped stand-ins are, byte for byte, what synthesize writes."""
     from fane.datasets import synthesize
-    out = synthesize("adjnoun", tmp_path / "adjnoun")
-    for fn in ("edges.txt", "attrs.txt"):
-        assert (out / fn).read_bytes() == (data_root / "adjnoun" / fn).read_bytes()
+    for name in EXPECTED:
+        out = synthesize(name, tmp_path / name)
+        files = sorted(f.name for f in out.iterdir())
+        assert files == sorted(f.name for f in (data_root / name).iterdir()), name
+        for fn in files:
+            assert (out / fn).read_bytes() == (data_root / name / fn).read_bytes(), (name, fn)
 
 
 def test_adjnoun_one_attribute_per_node(data_root):

@@ -121,7 +121,8 @@ def test_binary_embedding_errors_name_file_line(tmp_path, capsys, data, message)
     assert f"embedding file {message}" in capsys.readouterr().err
 
 
-# The bulk scanner against the per-record parser ---------------------------
+# The edge list against its oracle, and the attribute scanner against the
+# per-record parser -----------------------------------------------------------
 
 NAMES = ["0", "1", "2", "17", "x", "n#3", "a_b", "node-9", "+4", "1e3"]
 SPACES = st.sampled_from([" ", "\t", "  ", " \t"])
@@ -180,14 +181,7 @@ def _base_graph():
 
 @given(EDGE_FILES)
 @settings(max_examples=150, deadline=None)
-def test_edge_scanner_matches_records(data):
-    kind, want = _outcome(load_edge_records, data)
-    if kind == "ok":
-        assert _state(graph._scan_edge_list(data)) == _state(want)
-    else:
-        with pytest.raises(graph._Declined):
-            graph._scan_edge_list(data)
-    _same_result(graph._load_edge_records, load_edge_records, data)
+def test_edge_list_matches_records(data):
     _same_result(load_edge_list, load_edge_records, data)
 
 
@@ -229,7 +223,7 @@ def test_one_corrupted_line_raises_the_per_record_message(rows, draw):
     bad = draw.draw(st.sampled_from(CORRUPTIONS))
     edges = [f"{u} {v + 31} {w!r}" for u, v, w in rows]
     edges[k] = f"{rows[k][0]} {rows[k][1] + 31} {bad}".strip()
-    kind, message = _same_result(load_edge_list, graph._load_edge_records,
+    kind, message = _same_result(load_edge_list, load_edge_records,
                                  ("\n".join(edges) + "\n").encode(errors="surrogateescape"))
     assert kind == "ok" or f"line {k + 1}:" in message
     attrs = [f"{NAMES[u % len(NAMES)]} {v} {w!r}" for u, v, w in rows]
@@ -263,7 +257,7 @@ def test_decimals_read_and_reject_as_float_does():
             graph._decimals(np.frombuffer(token, np.uint8), np.zeros(1, np.int64), np.array([len(token)]))
 
 
-def test_scanner_merges_duplicate_edges_as_records_add():
+def test_edge_list_merges_duplicate_edges_as_records_add():
     # 20 nodes, 3000 lines: each edge recurs about 16 times, with weights
     # over ten decades, so the sum's bytes depend on the order of the adds
     rng = np.random.default_rng(9)
@@ -272,20 +266,18 @@ def test_scanner_merges_duplicate_edges_as_records_add():
     data = "".join(f"{a} {b} {w!r}\n" for a, b, w in rows).encode()
     runs = np.unique(np.minimum(u, v) * 20 + np.maximum(u, v), return_counts=True)[1]
     assert (runs > 8).mean() > 0.8
-    assert _state(graph._scan_edge_list(data)) == _state(load_edge_records(data))
-    # non-ASCII names send the same list to the per-record parser
-    data = "".join(f"\u00e9{a} \u00e9{b} {w!r}\n" for a, b, w in rows).encode()
-    with pytest.raises(graph._Declined):
-        graph._scan_edge_list(data)
     assert _state(load_edge_list(data)) == _state(load_edge_records(data))
 
 
 def test_scanner_blocks_split_on_newlines(monkeypatch):
     # tiny blocks, and a line longer than a block
-    text = "# head\n" + "".join(f"{i} {i + 1} {0.5 + i}\n" for i in range(40)) + "7 long_name_" + "z" * 50 + " 2\n"
-    want = graph._load_edge_records(text.encode())
+    long_name = "long_name_" + "z" * 50
+    g = load_edge_list(("".join(f"{i} {i + 1}\n" for i in range(40)) + f"0 {long_name}\n").encode())
+    text = "# head\n" + "".join(f"{i} {i % 7} {0.5 + i}\n" for i in range(40)) + f"{long_name} 3 2\n"
+    want = _state(graph._load_attribute_records(text.encode(), g))
     monkeypatch.setattr(graph, "_BLOCK_BYTES", 16)
-    assert _state(graph._scan_edge_list(text.encode())) == _state(want)
+    g.n_attrs, g.attr_node, g.attr_id, g.attr_value = graph._scan_sparse_attributes(text.encode(), g)
+    assert _state(g) == want
 
 
 @pytest.mark.parametrize("source", ["path", "bytes", "text", "binary"])
