@@ -341,8 +341,13 @@ class AttributedGraph:
 
         :meth:`load_dir` reads back the same names, edges, weights,
         attributes and labels, but numbers the nodes in the first-seen order
-        of the edge lines; nodemap.txt maps those ids to names.
+        of the edge lines; nodemap.txt maps those ids to names. A node name
+        starting with '#' would begin a comment line, so it raises
+        GraphFormatError before any file is written.
         """
+        for name in self.node_names:
+            if name.startswith("#"):
+                raise GraphFormatError(f"node {name!r} cannot be saved: a line starting with '#' is a comment")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "edges.txt", "w", encoding="utf-8") as f:

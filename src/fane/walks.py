@@ -18,12 +18,13 @@ the tables, and accepted with alpha / c; the return edge's mass above c is
 an outlier drawn past the end of the proposal. After _MAX_TRIALS
 rejections a walker makes one exact draw, so every step follows pi exactly.
 
-The first trial of every step reads the walk's own counter window of a
-Philox stream keyed by (seed, iteration); later trials read a counter-based
-Philox4x32 stream keyed by the seed and addressed by (start, step, trial,
-iteration). A corpus walks its (iteration, start) pairs in canonical order,
-one chunk of walkers at a time, with no shuffle and no threads; since every
-walk draws only from its own counters, the chunk size cannot change it.
+Every uniform a walk draws comes from one counter-based Philox4x32 stream
+keyed by the seed: trial t of step s of the walk (iteration, start) is the
+block at counter (start, s, t, iteration), whether a table, a rejection
+trial or the exact fallback reads it. A corpus walks its (iteration, start)
+pairs in canonical order, one chunk of walkers at a time, with no shuffle
+and no threads; since every walk draws only from its own counters, the
+chunk size cannot change it.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ SENTINEL_START = -1
 
 logger = logging.getLogger(__name__)
 
-# sub-stream tag of the retry stream's key
-_RETRY_STREAM = 2
+# sub-stream tag of the walk stream's key
+_WALK_STREAM = 2
 
 # table entries per chunk of the batched alias and prefix-sum builds;
 # bounds their temporaries
@@ -58,9 +59,9 @@ _MAX_TABLE_ENTRIES = 10**8
 # rejection trials per table-less step before its one exact draw from pi
 _MAX_TRIALS = 16
 
-# first-trial uniforms per chunk of a corpus, 2(l-1) per walker; bounds the
-# chunk's uniform block (8 MB of float64) whatever the graph's size
-_CHUNK_UNIFORMS = 1 << 20
+# walkers per chunk of a corpus; bounds the chunk's per-walker arrays
+# whatever the graph's size
+_CHUNK_WALKERS = 1 << 15
 
 # Philox4x32-10 multipliers and Weyl key increments
 _PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
@@ -249,22 +250,6 @@ def _degree_chunks(d: np.ndarray):
             yield group[i:i + step], cols
 
 
-def _uniform_rows(seed: int, iteration: int, lo: int, out: np.ndarray) -> None:
-    """Rows lo .. lo + len(out) of the iteration's uniform block into ``out``.
-
-    The block is the Philox stream keyed by (seed, iteration) read as an
-    (n_total, 2(l-1)) array; row v is the stream of the walk from v. Philox
-    is counter-based and each counter yields four doubles, so the rows are
-    reached by skipping whole counters, then the head of one.
-    """
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, iteration & 0xFFFFFFFFFFFFFFFF], np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    skip, head = divmod(lo * out.shape[1], 4)
-    gen.bit_generator.advance(skip)
-    gen.random(head)
-    gen.random(out=out)
-
-
 def _philox4x32(ctr, key) -> tuple:
     """Philox4x32-10 (Salmon et al., SC 2011) of the counters ``ctr``, four
     uint64 arrays of 32-bit words, under the two 32-bit words of ``key``."""
@@ -278,14 +263,15 @@ def _philox4x32(ctr, key) -> tuple:
     return c0, c1, c2, c3
 
 
-def _retry_uniforms(seed: int, iteration: np.ndarray, start: np.ndarray, step: int,
-                    trial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u1, u2) of trial ``trial[i]`` for the walk (iteration[i], start[i]):
-    the Philox4x32 block at counter (start, step, trial, iteration) under the
-    seed's two words, the high one tagged with ``_RETRY_STREAM``."""
+def _uniforms(seed: int, iteration: np.ndarray, start: np.ndarray, step: int,
+              trial) -> tuple[np.ndarray, np.ndarray]:
+    """(u1, u2) of trial ``trial`` (one int, or one per walker) of the walks
+    (iteration[i], start[i]): the Philox4x32 block at counter (start, step,
+    trial, iteration) under the seed's two words, the high one tagged with
+    ``_WALK_STREAM``."""
     words = (start.astype(np.uint64), np.full(len(start), step & _M32, np.uint64),
              np.asarray(trial, np.uint64), iteration.astype(np.uint64) & np.uint64(_M32))
-    o0, o1, o2, o3 = _philox4x32(words, (seed & _M32, ((seed >> 32) ^ _RETRY_STREAM) & _M32))
+    o0, o1, o2, o3 = _philox4x32(words, (seed & _M32, ((seed >> 32) ^ _WALK_STREAM) & _M32))
     unit = 1.0 / (1 << 53)
     return (((o0 >> 5) << 26) + (o1 >> 6)) * unit, (((o2 >> 5) << 26) + (o3 >> 6)) * unit
 
@@ -327,22 +313,22 @@ def _exact_draw(g: AugmentedGraph, params: WalkParams, u: int, v: int, u1: float
 
 
 def _reject(g: AugmentedGraph, model: TransitionModel, prev: np.ndarray, cur: np.ndarray,
-            u1: np.ndarray, u2: np.ndarray, retry: tuple, counts: np.ndarray) -> np.ndarray:
+            walk: tuple, counts: np.ndarray) -> np.ndarray:
     """Positions drawn from pi of the states (prev[i] -> cur[i]) by rejection;
     prev[i] = SENTINEL_START for a first step.
 
     A trial draws y = u1 * (Z + E), Z the row's proposal sum and E the
     return edge's mass above the envelope, w(v,u) * (alpha(v,u) - c(v,u))+.
     y < Z proposes x by inverse CDF and keeps it if u2 < alpha / c; y >= Z
-    takes x = u outright. Trial 0 uses (u1, u2), trial t > 0
-    ``_retry_uniforms`` at (seed, iteration, start, step) = ``retry``.
+    takes x = u outright. Trial t reads ``_uniforms`` at (seed, iteration,
+    start, step) = ``walk`` and t, and the exact draw trial ``_MAX_TRIALS``.
     Trials run in rounds of 1, 3 and 12, each round for all walkers still
     rejected at once; a walker keeps its first accepted trial, so rounds
     change no draw. Walkers rejected ``_MAX_TRIALS`` times make one exact
     draw.
     """
     params, cum = model.params, model.sum_cum
-    seed, iteration, start, step = retry
+    seed, iteration, start, step = walk
     lo = g.indptr[cur]
     deg = g.indptr[cur + 1] - lo
     base = model.sum_off[cur]
@@ -358,12 +344,9 @@ def _reject(g: AugmentedGraph, model: TransitionModel, prev: np.ndarray, cur: np
     live = np.arange(len(cur))
     first, n = 0, 1
     while len(live) and first < _MAX_TRIALS:
-        if first == 0:                  # every walker's trial 0
-            w, a, b = slice(None), u1, u2
-        else:                           # trials first .. first+n-1 of each live walker
-            w = np.repeat(live, n)
-            a, b = _retry_uniforms(seed, iteration[w], start[w], step,
-                                   np.tile(np.arange(first, first + n), len(live)))
+        # trials first .. first+n-1 of each live walker
+        w = np.repeat(live, n)
+        a, b = _uniforms(seed, iteration[w], start[w], step, np.tile(np.arange(first, first + n), len(live)))
         u, v, z, e, bw, dw = prev[w], cur[w], total[w], extra[w], base[w], deg[w]
         y = a * (z + e)
         j = np.where((y >= z) & (e > 0), home[w],
@@ -386,23 +369,23 @@ def _reject(g: AugmentedGraph, model: TransitionModel, prev: np.ndarray, cur: np
         first, n = first + n, min(3 * (first + n), _MAX_TRIALS - first - n)
     if len(live):
         counts[3] += len(live)
-        a, _ = _retry_uniforms(seed, iteration[live], start[live], step, np.full(len(live), _MAX_TRIALS))
+        a, _ = _uniforms(seed, iteration[live], start[live], step, _MAX_TRIALS)
         for i, ai in zip(live.tolist(), a.tolist()):
             out[i] = _exact_draw(g, params, int(prev[i]), int(cur[i]), ai)
     return out
 
 
 def _next_positions(g: AugmentedGraph, model: TransitionModel, prev: np.ndarray, cur: np.ndarray,
-                    edge: np.ndarray, u1: np.ndarray, u2: np.ndarray, retry: tuple,
-                    counts: np.ndarray) -> np.ndarray:
+                    edge: np.ndarray, walk: tuple, counts: np.ndarray) -> np.ndarray:
     """Position in cur's neighbor row of each walker's next node.
 
-    ``edge`` is the CSR index of (prev -> cur), -1 for a first step. States
-    with a table draw from it with (u1, u2); the rest go through ``_reject``
-    together, with ``retry`` = (seed, iteration, start, step), iteration and
-    start per walker. ``counts`` accumulates [table steps, rejection steps,
-    rejection trials, exact fallbacks].
+    ``edge`` is the CSR index of (prev -> cur), -1 for a first step, and
+    ``walk`` = (seed, iteration, start, step), iteration and start per
+    walker. States with a table draw from it with trial 0 of ``_uniforms``;
+    the rest go through ``_reject`` together. ``counts`` accumulates [table
+    steps, rejection steps, rejection trials, exact fallbacks].
     """
+    seed, iteration, start, step = walk
     idx = np.empty(len(cur), np.int64)
     first = edge < 0
     rest = []
@@ -411,16 +394,16 @@ def _next_positions(g: AugmentedGraph, model: TransitionModel, prev: np.ndarray,
             (np.flatnonzero(~first), model.edge_off[edge[~first]], model.edge_accept, model.edge_alias)):
         pre = offs >= 0
         sel = rows[pre]
-        idx[sel] = alias_draw(accept, alias, offs[pre], g.indptr[cur[sel] + 1] - g.indptr[cur[sel]],
-                              u1[sel], u2[sel])
+        if len(sel):
+            idx[sel] = alias_draw(accept, alias, offs[pre], g.indptr[cur[sel] + 1] - g.indptr[cur[sel]],
+                                  *_uniforms(seed, iteration[sel], start[sel], step, 0))
         rest.append(rows[~pre])
     rows = np.concatenate(rest)
     counts[0] += len(cur) - len(rows)
     if len(rows):
         counts[1] += len(rows)
-        seed, iteration, start, step = retry
-        idx[rows] = _reject(g, model, prev[rows], cur[rows], u1[rows], u2[rows],
-                            (seed, iteration[rows], start[rows], step), counts)
+        idx[rows] = _reject(g, model, prev[rows], cur[rows], (seed, iteration[rows], start[rows], step),
+                            counts)
     return idx
 
 
@@ -428,22 +411,16 @@ def _walk_chunk(g: AugmentedGraph, model: TransitionModel, iteration: np.ndarray
                 start: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The walks of the (iteration[i], start[i]) pairs, advanced in
     lockstep, as a (len(start), l) id array; adds the step counts of
-    ``_next_positions`` to ``counts``. Within a run of equal iteration the
-    starts must be consecutive, as in the canonical order."""
+    ``_next_positions`` to ``counts``."""
     seed, l = model.params.seed, model.params.walk_length
     B = len(start)
-    ublock = np.empty((B, 2 * (l - 1)))
-    cuts = [0, *(np.flatnonzero(np.diff(iteration)) + 1).tolist(), B]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        _uniform_rows(seed, int(iteration[a]), int(start[a]), ublock[a:b])
     walks = np.empty((B, l), np.int32)
     walks[:, 0] = start
     cur = start.astype(np.int64)
     prev = np.full(B, SENTINEL_START, np.int64)
     edge = np.full(B, -1, np.int64)   # CSR index of (prev -> cur)
     for s in range(l - 1):
-        idx = _next_positions(g, model, prev, cur, edge, ublock[:, 2 * s], ublock[:, 2 * s + 1],
-                              (seed, iteration, start, s), counts)
+        idx = _next_positions(g, model, prev, cur, edge, (seed, iteration, start, s), counts)
         edge = g.indptr[cur] + idx
         prev = cur
         cur = g.neighbors[edge].astype(np.int64)
@@ -464,15 +441,13 @@ def sample_next(g: AugmentedGraph, model: TransitionModel, u: int, v: int,
                 n_samples: int, seed: int) -> np.ndarray:
     """Draw next-step neighbor positions for state (u, v) through the walk
     kernel, table or rejection as the model has it; u = SENTINEL_START
-    samples the first step. Draw i is a walker from start i whose trials
-    are keyed by (seed, iteration 0, step 0)."""
-    rng = np.random.default_rng(seed)
-    u1, u2 = rng.random(n_samples), rng.random(n_samples)
+    samples the first step. Draw i is step 0 of the walk (iteration 0,
+    start i), so at u = SENTINEL_START and i = v it is that corpus walk's
+    first step."""
     e = -1 if u == SENTINEL_START else edge_csr_index(g, u, v)
     return _next_positions(g, model, np.full(n_samples, u, np.int64), np.full(n_samples, v, np.int64),
-                           np.full(n_samples, e, np.int64), u1, u2,
-                           (seed, np.zeros(n_samples, np.int64), np.arange(n_samples), 0),
-                           np.zeros(4, np.int64))
+                           np.full(n_samples, e, np.int64),
+                           (seed, np.zeros(n_samples, np.int64), np.arange(n_samples), 0), np.zeros(4, np.int64))
 
 
 def generate_walk(g: AugmentedGraph, model: TransitionModel, start: int,
@@ -536,8 +511,8 @@ def generate_corpus(g: AugmentedGraph, model: TransitionModel) -> Corpus:
 
     Starts cover all of V', each exactly walks_per_node times. The
     (iteration, start id) pairs are walked in that canonical order,
-    sequentially, in chunks of at most ``_CHUNK_UNIFORMS`` first-trial
-    uniforms that may straddle iterations.
+    sequentially, in chunks of at most ``_CHUNK_WALKERS`` walkers that may
+    straddle iterations.
     Logs at INFO how many steps drew from tables and how many by rejection,
     the mean trials per rejection step and the exact fallbacks.
     """
@@ -545,9 +520,8 @@ def generate_corpus(g: AugmentedGraph, model: TransitionModel) -> Corpus:
     n_walks = params.walks_per_node * g.n_total
     all_walks = np.empty((n_walks, params.walk_length), np.int32)
     counts = np.zeros(4, np.int64)
-    step = max(1, _CHUNK_UNIFORMS // (2 * (params.walk_length - 1)))
-    for k in range(0, n_walks, step):
-        iteration, start = np.divmod(np.arange(k, min(k + step, n_walks)), g.n_total)
+    for k in range(0, n_walks, _CHUNK_WALKERS):
+        iteration, start = np.divmod(np.arange(k, min(k + _CHUNK_WALKERS, n_walks)), g.n_total)
         all_walks[k:k + len(start)] = _walk_chunk(g, model, iteration, start, counts)
 
     table, rejection, trials, fallbacks = counts.tolist()

@@ -485,3 +485,12 @@ def test_build_rejects_raw_node_named_like_an_attribute_key(tmp_path, capsys):
     assert main(["build", "--edges", str(tmp_path / "edges.txt"), "--attrs", str(tmp_path / "attrs.txt"),
                  "--out", str(tmp_path / "b")]) == 2
     assert "node 'a0' would share its embedding key with attribute 0" in capsys.readouterr().err
+
+
+def test_build_rejects_node_name_that_would_save_as_a_comment(tmp_path, capsys):
+    """A saved line starting with '#x' would read back as a comment, losing
+    node 1's edge, so build refuses the graph and writes no file."""
+    (tmp_path / "edges.txt").write_text("0 #x\n1 #x\n")
+    assert main(["build", "--edges", str(tmp_path / "edges.txt"), "--out", str(tmp_path / "b")]) == 2
+    assert "node '#x' cannot be saved" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from fane import build_augmented, stats
@@ -50,3 +55,14 @@ def test_adjnoun_one_attribute_per_node(data_root):
     assert np.all(per_node == 1)
     sizes = np.bincount(g.attr_id, minlength=2)
     assert sorted(sizes.tolist()) == sorted(s for s in SPECS["adjnoun"].class_sizes)
+
+
+def test_make_datasets_script_runs_from_a_checkout(tmp_path):
+    """The script finds src/ on its own, as pytest and perfbench do."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_datasets.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, str(script), str(tmp_path)], capture_output=True, text=True,
+                         env=env, cwd=tmp_path, timeout=120)
+    assert out.returncode == 0, out.stderr
+    for name in SPECS:
+        assert (tmp_path / name / "edges.txt").stat().st_size > 0, name

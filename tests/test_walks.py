@@ -332,6 +332,19 @@ def test_precomputed_and_on_demand_statistically_identical(five_node_graph):
         assert two_sample_chi2_pvalue(a, b) > 0.01
 
 
+@pytest.mark.parametrize("tau", [0, 1024])
+def test_sample_next_draws_what_the_corpus_draws(five_node_graph, tau):
+    """sample_next's draw v is the first step of the corpus walk (iteration
+    0, start v), through tables and through rejection alike."""
+    g = five_node_graph
+    params = WalkParams(p=2.0, q=0.5, r=0.5, walk_length=4, walks_per_node=1, seed=23)
+    model = preprocess_transitions(g, params, tau=tau)
+    corpus = generate_corpus(g, model)
+    for v in range(g.n_total):
+        drawn = sample_next(g, model, SENTINEL_START, v, g.n_total, seed=params.seed)[v]
+        assert g.neighbor_slice(v)[0][drawn] == corpus.walks[v, 1], v
+
+
 # ---------------------------------------------------------------- walks
 
 def test_walk_length_and_start(five_node_graph):
@@ -387,7 +400,7 @@ def test_determinism_across_runs_and_workers(five_node_graph, monkeypatch):
     b = generate_corpus(five_node_graph, model)
     assert a.walks.tobytes() == b.walks.tobytes()
     for walkers in (4, 1):
-        monkeypatch.setattr(walks_module, "_CHUNK_UNIFORMS", walkers * 2 * (12 - 1))
+        monkeypatch.setattr(walks_module, "_CHUNK_WALKERS", walkers)
         c = generate_corpus(five_node_graph, model)
         assert a.walks.tobytes() == c.walks.tobytes(), walkers
     w = generate_walk(five_node_graph, model, 4, iteration=2)
@@ -396,7 +409,6 @@ def test_determinism_across_runs_and_workers(five_node_graph, monkeypatch):
 
 @pytest.mark.parametrize("walk_length", [2, 5, 12])
 def test_generate_walk_matches_every_corpus_row(five_node_graph, walk_length):
-    # at walk_length 2 and 12 odd starts begin mid-counter (offset 2 mod 4)
     params = WalkParams(p=2.0, q=0.5, r=0.5, walk_length=walk_length, walks_per_node=2, seed=77)
     model = preprocess_transitions(five_node_graph, params, tau=2)
     corpus = generate_corpus(five_node_graph, model)
