@@ -30,17 +30,12 @@ DIMENSION, WINDOW, EPOCHS = 8, 3, 1
 
 
 def _decode_pairs(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j), i < j, of each triangular pair code."""
-    i = (n - 2 - np.floor((np.sqrt((2 * n - 1) ** 2 - 8 * (codes + 1) + 8) - 1) / 2)).astype(np.int64)
-    # guard against float rounding at block boundaries
-    first = i * (2 * n - i - 1) // 2
-    too_big = first > codes
-    i[too_big] -= 1
-    first = i * (2 * n - i - 1) // 2
-    too_small = codes >= first + (n - 1 - i)
-    i[too_small] += 1
-    first = i * (2 * n - i - 1) // 2
-    return i, codes - first + i + 1
+    """(i, j), i < j, of each triangular pair code; row i's codes start at
+    i * (2n - i - 1) / 2."""
+    rows = np.arange(n - 1, dtype=np.int64)
+    first = rows * (2 * n - rows - 1) // 2
+    i = np.searchsorted(first, codes, side="right") - 1
+    return i, codes - first[i] + i + 1
 
 
 def erdos_renyi(n: int, mean_degree: float, seed: int) -> AttributedGraph:

@@ -341,6 +341,8 @@ def cmd_viz(args, cfg) -> int:
 
 def cmd_bench(args, cfg) -> int:
     from .bench import BenchSpec, run_scaling
+    if not (args.nodes or args.attrs):
+        raise ValueError("bench needs a series: give --nodes, --attrs or both")
     spec = BenchSpec(
         node_counts=tuple(_parse_series(args.nodes)) if args.nodes else (),
         mean_degree=args.degree,

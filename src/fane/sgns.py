@@ -6,17 +6,17 @@ uniform size 1..k around each walk position, with negatives drawn from the
 unigram^0.75 noise distribution, each pair drawing its own negatives.
 Training is one sequential loop, byte-reproducible for a fixed seed: every
 epoch draws its windows, subsampling and walk order from its own stream,
-and mini-batches apply the gradients of sgns_gradients in order. Each
-side's row updates are sorted by row, a row's entries kept in the order the
-batch made them (stable radix passes, _row_order), and summed one entry
-after another in batch order, from power-of-two buckets of rows, which
-makes a few numpy calls per bucket instead of one per (row, column). That
-order is the same at every width d and on AVX-512 and AVX2 hosts, and so
-are the losses (log1p runs in float64); builds without AVX2 give other
-vectors (other float32 kernels round differently). A batch holds vc and
-d_in at (B, d), one slice of its negative rows and one piece of its sorted
-updates, each about _SLICE_ELEMENTS floats; slicing changes no bit of the
-result.
+and mini-batches, each drawing its negatives from that stream just before
+it trains, apply the gradients of sgns_gradients in order. Each side's row
+updates are sorted by row, a row's entries kept in the order the batch made
+them (stable radix passes, _row_order), and summed one entry after another
+in batch order, from power-of-two buckets of rows, which makes a few numpy
+calls per bucket instead of one per (row, column). That order is the same
+at every width d and on AVX-512 and AVX2 hosts, and so are the losses
+(log1p runs in float64); builds without AVX2 give other vectors (other
+float32 kernels round differently). A batch holds vc and d_in at (B, d),
+one slice of its negative rows and one piece of its sorted updates, each
+about _SLICE_ELEMENTS floats; slicing changes no bit of the result.
 Everything is keyed by vocabulary position (first appearance in the
 corpus), so relabeling node ids permutes the output rows and nothing else.
 """
@@ -277,7 +277,8 @@ def train(walks: np.ndarray, params: TrainParams, key_fn=None) -> EmbeddingMatri
     sequential, so the result is byte-reproducible for a fixed seed. The
     learning rate decays linearly over the exact pair budget: one pass
     counts every epoch's pairs, then training redraws each epoch from its
-    stream, so memory holds one epoch's draws at a time.
+    stream, so memory holds one epoch's window draws at a time; each batch
+    draws its negatives from that stream just before it trains.
     """
     walks = np.asarray(walks)
     if walks.ndim != 2:
@@ -313,29 +314,21 @@ def train(walks: np.ndarray, params: TrainParams, key_fn=None) -> EmbeddingMatri
     losses, done = [], 0
     for e in range(params.epochs):
         # the last epoch's draws and last chunk go before this epoch's are drawn
-        idx_e = kp = perm = rows = centers = contexts = shuffle = negs = None
+        idx_e = kp = perm = rows = centers = contexts = shuffle = None
         idx_e, kp, perm, rng_e = _epoch_draws(idx, keep_prob, params, e)
         epoch_loss, epoch_pairs = 0.0, 0
         for c0 in range(0, len(perm), _CHUNK_WALKS):
             rows = perm[c0:c0 + _CHUNK_WALKS]
             centers, contexts = _pairs_for_chunk(idx_e[rows], kp[rows], params.window)
-            if len(centers) == 0:
-                continue
             shuffle = rng_e.permutation(len(centers))
             centers, contexts = np.take(centers, shuffle), np.take(contexts, shuffle)
-            # alias_draw a batch of uniforms at a time, so its temporaries stay batch-sized;
-            # negs comes first, so freeing the uniforms leaves no hole below it in the heap
-            negs = np.empty((len(centers), params.negatives), np.int32)
-            uniforms = rng_e.random((2, *negs.shape))
-            for b0 in range(0, len(centers), batch_pairs):
-                negs[b0:b0 + batch_pairs] = alias_draw(noise_accept, noise_alias, 0, V,
-                                                       *uniforms[:, b0:b0 + batch_pairs])
-            uniforms = None
             for b0 in range(0, len(centers), batch_pairs):
                 lr = max(_MIN_LEARNING_RATE, params.learning_rate * (1.0 - (done + b0) / total_pairs))
-                b1 = b0 + batch_pairs
+                b1 = min(b0 + batch_pairs, len(centers))
+                negs = alias_draw(noise_accept, noise_alias, 0, V,
+                                  *rng_e.random((2, b1 - b0, params.negatives))).astype(np.int32)
                 epoch_loss += _apply_batch(in_vecs, out_vecs, centers[b0:b1], contexts[b0:b1],
-                                           negs[b0:b1], lr)
+                                           negs, lr)
             done += len(centers)
             epoch_pairs += len(centers)
         losses.append(epoch_loss / max(epoch_pairs, 1))

@@ -430,11 +430,18 @@ def _walk_chunk(g: AugmentedGraph, model: TransitionModel, iteration: np.ndarray
 
 def edge_csr_index(g: AugmentedGraph, u: int, v: int) -> int:
     """CSR position of the directed edge u -> v; raises if absent."""
+    _check_node(g, u)
     s, e = g.indptr[u], g.indptr[u + 1]
     pos = int(np.searchsorted(g.neighbors[s:e], v))
     if pos >= e - s or g.neighbors[s + pos] != v:
         raise KeyError(f"no edge {u} -> {v}")
     return int(s + pos)
+
+
+def _check_node(g: AugmentedGraph, v: int) -> None:
+    """Raise unless v is a node id of g."""
+    if not 0 <= v < g.n_total:
+        raise ValueError(f"node id {v} is not in [0, {g.n_total})")
 
 
 def sample_next(g: AugmentedGraph, model: TransitionModel, u: int, v: int,
@@ -444,6 +451,7 @@ def sample_next(g: AugmentedGraph, model: TransitionModel, u: int, v: int,
     samples the first step. Draw i is step 0 of the walk (iteration 0,
     start i), so at u = SENTINEL_START and i = v it is that corpus walk's
     first step."""
+    _check_node(g, v)
     e = -1 if u == SENTINEL_START else edge_csr_index(g, u, v)
     return _next_positions(g, model, np.full(n_samples, u, np.int64), np.full(n_samples, v, np.int64),
                            np.full(n_samples, e, np.int64),
@@ -453,8 +461,7 @@ def sample_next(g: AugmentedGraph, model: TransitionModel, u: int, v: int,
 def generate_walk(g: AugmentedGraph, model: TransitionModel, start: int,
                   iteration: int = 0) -> np.ndarray:
     """One walk from ``start``; identical to the corresponding corpus row."""
-    if g.degree(start) == 0:
-        raise ValueError(f"start node {start} has no neighbors")
+    _check_node(g, start)
     return _walk_chunk(g, model, np.array([iteration], np.int64),
                        np.array([start], np.int64), np.zeros(4, np.int64))[0]
 

@@ -439,6 +439,14 @@ def test_unknown_flag_is_error(dataset, tmp_path):
     assert exc.value.code == 2
 
 
+def test_bench_without_a_series_exits_2(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["bench", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--nodes" in err and "--attrs" in err
+    assert not out.exists() and not (tmp_path / "t_attrs.csv").exists()
+
+
 def test_bench_cli_writes_both_series(tmp_path):
     out = tmp_path / "timings.csv"
     rc = main(["bench", "--nodes", "40,80", "--degree", "4",

@@ -250,6 +250,23 @@ def test_train_peak_memory_does_not_grow_with_epochs():
     assert peaks[1] <= 1.05 * peaks[0]
 
 
+def test_train_peak_memory_grows_with_the_batch_not_the_chunk():
+    # one chunk of 1024 walks; a chunk-wide float64 (2, pairs, k) block of
+    # negative uniforms would grow by 2 * pairs * 20 * 8 bytes from k=5 to k=25
+    walks = np.random.default_rng(5).integers(0, 2000, size=(1024, 40))
+    params = TrainParams(dimension=4, window=5, epochs=1)
+    pairs = len(_pairs_for_chunk(*_epoch_draws(walks, None, params, 0)[:2], params.window)[0])
+    peaks = {}
+    for k in (5, 25):
+        tracemalloc.start()
+        try:
+            train(walks, TrainParams(dimension=4, window=5, epochs=1, negatives=k))
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[25] - peaks[5] < 2 * pairs * 20 * 8 / 4
+
+
 def test_export_import_round_trip_text(tmp_path):
     rng = np.random.default_rng(21)
     walks = rng.integers(0, 8, size=(30, 6))

@@ -496,6 +496,26 @@ def test_isolated_start_rejected(five_node_graph):
         generate_walk(five_node_graph, model, 99)
 
 
+@pytest.mark.parametrize("start", ["-1", "n_total"])
+def test_start_outside_graph_rejected(five_node_graph, start):
+    ag = five_node_graph
+    model = preprocess_transitions(ag, WalkParams())
+    v = ag.n_total if start == "n_total" else -1
+    message = rf"^node id {v} is not in \[0, {ag.n_total}\)$"
+    with pytest.raises(ValueError, match=message):
+        generate_walk(ag, model, v)
+    with pytest.raises(ValueError, match=message):
+        sample_next(ag, model, SENTINEL_START, v, 5, 1)
+
+
+@pytest.mark.parametrize("u", [-3, 6])
+def test_previous_node_outside_graph_rejected(five_node_graph, u):
+    # a negative u other than SENTINEL_START would index indptr from the end
+    model = preprocess_transitions(five_node_graph, WalkParams())
+    with pytest.raises(ValueError, match=rf"^node id {u} is not in \[0, 6\)$"):
+        sample_next(five_node_graph, model, u, 0, 5, 1)
+
+
 def test_walk_params_validation():
     with pytest.raises(ValueError):
         WalkParams(p=0.0)
