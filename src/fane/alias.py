@@ -74,9 +74,17 @@ def build_alias_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sp = sp - ~down
 
 
-def alias_draw(accept: np.ndarray, alias: np.ndarray, off, d, u1, u2) -> np.ndarray:
+def alias_draw(accept: np.ndarray, alias: np.ndarray, off, d, u1, u2, out=None) -> np.ndarray:
     """Outcomes drawn from the tables of d outcomes at ``off`` in the flat
-    arrays: column j by u1, kept if u2 < accept, else its alias."""
-    j = np.minimum((u1 * d).astype(np.int64), d - 1)
-    at = off + j
-    return np.where(u2 < np.take(accept, at), j, np.take(alias, at))
+    arrays: column j by u1, kept if u2 < accept, else its alias. u1 is
+    overwritten, and the outcomes go to ``out``, an int64 array shaped like
+    u1 (a new one if None)."""
+    at = np.empty(np.shape(u1), np.int64) if out is None else out
+    np.copyto(at, np.multiply(u1, d, out=u1), casting="unsafe")   # truncated, as by astype
+    np.minimum(at, np.subtract(d, 1), out=at)
+    at += off
+    rejected = u2 >= np.take(accept, at, out=u1, mode="clip")
+    alt = np.take(alias, at)
+    at -= off
+    np.copyto(at, alt, where=rejected)
+    return at

@@ -250,17 +250,28 @@ def _degree_chunks(d: np.ndarray):
             yield group[i:i + step], cols
 
 
-def _philox4x32(ctr, key) -> tuple:
+def _philox4x32(ctr, key):
     """Philox4x32-10 (Salmon et al., SC 2011) of the counters ``ctr``, four
-    uint64 arrays of 32-bit words, under the two 32-bit words of ``key``."""
+    uint64 arrays of 32-bit words, under the two 32-bit words of ``key``.
+    The rounds run in place: ``ctr`` is overwritten by the output words and
+    returned."""
     c0, c1, c2, c3 = ctr
     k0, k1 = key
+    p0, p1 = np.empty((2, *np.shape(c0)), np.uint64)
     for _ in range(10):
-        p0 = c0 * _PHILOX_M[0]
-        p1 = c2 * _PHILOX_M[1]
-        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & _M32, (p0 >> 32) ^ c3 ^ k1, p0 & _M32
+        np.multiply(c0, _PHILOX_M[0], out=p0)
+        np.multiply(c2, _PHILOX_M[1], out=p1)
+        # c0, c1, c2, c3 = hi(p1) ^ c1 ^ k0, lo(p1), hi(p0) ^ c3 ^ k1, lo(p0)
+        np.right_shift(p1, 32, out=c0)
+        c0 ^= c1
+        c0 ^= k0
+        np.right_shift(p0, 32, out=c2)
+        c2 ^= c3
+        c2 ^= k1
+        np.bitwise_and(p1, _M32, out=c1)
+        np.bitwise_and(p0, _M32, out=c3)
         k0, k1 = (k0 + _PHILOX_W[0]) & _M32, (k1 + _PHILOX_W[1]) & _M32
-    return c0, c1, c2, c3
+    return ctr
 
 
 def _uniforms(seed: int, iteration: np.ndarray, start: np.ndarray, step: int,
@@ -269,11 +280,18 @@ def _uniforms(seed: int, iteration: np.ndarray, start: np.ndarray, step: int,
     (iteration[i], start[i]): the Philox4x32 block at counter (start, step,
     trial, iteration) under the seed's two words, the high one tagged with
     ``_WALK_STREAM``."""
-    words = (start.astype(np.uint64), np.full(len(start), step & _M32, np.uint64),
-             np.asarray(trial, np.uint64), iteration.astype(np.uint64) & np.uint64(_M32))
-    o0, o1, o2, o3 = _philox4x32(words, (seed & _M32, ((seed >> 32) ^ _WALK_STREAM) & _M32))
-    unit = 1.0 / (1 << 53)
-    return (((o0 >> 5) << 26) + (o1 >> 6)) * unit, (((o2 >> 5) << 26) + (o3 >> 6)) * unit
+    words = np.empty((4, len(start)), np.uint64)
+    for w, value in zip(words, (start, step & _M32, trial, iteration)):
+        np.copyto(w, value, casting="unsafe")
+    words[3] &= np.uint64(_M32)
+    out = _philox4x32(words, (seed & _M32, ((seed >> 32) ^ _WALK_STREAM) & _M32))
+    # u1 = ((o0 >> 5) * 2**26 + (o1 >> 6)) / 2**53, and u2 likewise from o2 and o3
+    out >>= np.array([[5], [6], [5], [6]], np.uint64)
+    hi, lo = out[0::2], out[1::2]
+    hi <<= np.uint64(26)
+    hi += lo
+    u1, u2 = hi * (1.0 / (1 << 53))
+    return u1, u2
 
 
 def _row_search(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, key, side: str = "left") -> np.ndarray:

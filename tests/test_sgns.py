@@ -201,9 +201,9 @@ def _record_batches(monkeypatch) -> list:
     """(pairs, lr) of every _apply_batch call that train makes."""
     calls = []
 
-    def spy(in_vecs, out_vecs, centers, contexts, negs, lr):
+    def spy(in_vecs, out_vecs, centers, contexts, negs, lr, ws):
         calls.append((len(centers), lr))
-        return _apply_batch(in_vecs, out_vecs, centers, contexts, negs, lr)
+        return _apply_batch(in_vecs, out_vecs, centers, contexts, negs, lr, ws)
     monkeypatch.setattr(sgns, "_apply_batch", spy)
     return calls
 
@@ -432,6 +432,40 @@ def test_apply_batch_peak_memory_bounded_in_negatives():
             oracle_peak = _traced_peak(unsliced_batch.apply_batch, batch)
     assert peaks[20] - peaks[5] < B * d * 4
     assert peaks[5] < oracle_peak / 2
+
+
+def test_warm_workspace_batch_peak_memory_is_small():
+    # with the train call's workspace in hand, a batch allocates only its
+    # argsort orders and per-run arrays: no (B, d), (B, k, d) or per-entry
+    # temporaries
+    B, k, d = 8192, 5, 128
+    batch = _random_batch(np.random.default_rng(8), 2000, B, k, d)
+    ws = sgns._Workspace(B, k, d)
+    _apply_batch(batch[0].copy(), batch[1].copy(), *batch[2:], 0.2, ws)
+    peak = _traced_peak(lambda *args: _apply_batch(*args, ws), batch)
+    assert peak <= 2 * 2**20
+
+
+# A full batch, a partial one, then a full one again through one workspace:
+# loss terms, sorted entries, padded slots or sums left from a larger batch
+# must not reach a smaller one. d=1 sums slot by slot, the rest by einsum;
+# pieces of 3 entries make V=7's runs of about 260 out-entries cross many
+# pieces and carry their sums.
+@pytest.mark.parametrize("d, piece", [(1, None), (8, None), (128, None), (8, 3), (128, 3)])
+def test_reused_workspace_is_byte_identical_to_a_fresh_one(monkeypatch, d, piece):
+    k = 5
+    if piece is not None:
+        monkeypatch.setattr(sgns, "_SLICE_ELEMENTS", piece * d)
+    rng = np.random.default_rng(100 + d)
+    ws = sgns._Workspace(300, k, d)
+    for V, B in ((7, 300), (60, 130), (7, 300), (60, 1), (60, 300)):
+        in_vecs, out_vecs, centers, contexts, negs = _random_batch(rng, V, B, k, d)
+        ref_in, ref_out = in_vecs.copy(), out_vecs.copy()
+        want = _apply_batch(ref_in, ref_out, centers, contexts, negs, 0.2)
+        got = _apply_batch(in_vecs, out_vecs, centers, contexts, negs, 0.2, ws)
+        assert in_vecs.tobytes() == ref_in.tobytes()
+        assert out_vecs.tobytes() == ref_out.tobytes()
+        assert got == want
 
 
 def test_apply_batch_single_pair_is_sgns_gradients():
