@@ -185,6 +185,7 @@ def _time_pipeline(g: AttributedGraph, spec: BenchSpec, seed: int):
     t0 = time.perf_counter()
     corpus = generate_corpus(ag, model)
     times["walk"] = time.perf_counter() - t0
+    del model   # the tables go before train allocates
 
     t0 = time.perf_counter()
     train(corpus.walks, tp)

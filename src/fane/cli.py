@@ -384,8 +384,8 @@ def run_pipeline(cfg: dict, dry_run: bool = False) -> dict:
         _write_stats(artifacts["stats"], ag)
 
         stage = "walk"
-        model = preprocess_transitions(ag, _walk_params(cfg), tau=cfg["tau"])
-        corpus = generate_corpus(ag, model)
+        # the tables go once the corpus is walked, before train allocates
+        corpus = generate_corpus(ag, preprocess_transitions(ag, _walk_params(cfg), tau=cfg["tau"]))
         if cfg["save_corpus"]:
             artifacts["corpus"] = out / "corpus.txt"
             with _artifact(artifacts["corpus"]) as tmp:

@@ -14,11 +14,13 @@ in batch order, from power-of-two buckets of rows, which makes a few numpy
 calls per bucket instead of one per (row, column). That order is the same
 at every width d and on AVX-512 and AVX2 hosts, and so are the losses
 (log1p runs in float64); builds without AVX2 give other vectors (other
-float32 kernels round differently). A batch holds d_in at (B, d), a few
-values per pair and negative, one slice of its center, context and
-negative rows and one piece of its sorted update slots, each about
-_SLICE_ELEMENTS floats; slicing changes no bit of the result. train allocates these once, in a
-_Workspace sized for its largest batch, and every batch writes into it.
+float32 kernels round differently). A chunk of walks makes its pairs in
+one int32 (n, 2) buffer, 8 bytes a pair, and shuffles its rows in place.
+A batch holds d_in at (B, d), a few values per pair and negative, one
+slice of its center, context and negative rows and one piece of its sorted
+update slots, each about _SLICE_ELEMENTS floats; slicing changes no bit of
+the result. train allocates these once, in a _Workspace sized for its
+largest batch, and every batch writes into it.
 Everything is keyed by vocabulary position (first appearance in the
 corpus), so relabeling node ids permutes the output rows and nothing else.
 """
@@ -248,15 +250,23 @@ def _pair_masks(idx: np.ndarray, kp: np.ndarray, window: int):
         yield o, (kp[:, :l - o] >= o) & valid, (kp[:, o:] >= o) & valid
 
 
-def _pairs_for_chunk(idx_chunk: np.ndarray, kp_chunk: np.ndarray, window: int):
-    """(centers, contexts) vocab-index arrays for a chunk of walks."""
+def _pairs_for_chunk(idx_chunk: np.ndarray, kp_chunk: np.ndarray, window: int, rng=None):
+    """(centers, contexts) of a chunk of walks: the columns of one int32 (n, 2)
+    buffer, sized by a first pass over the masks. With ``rng`` its rows are
+    shuffled in place by its int64 view, drawing what rng.permutation(n) does."""
     l = idx_chunk.shape[1]
-    cs, os_ = [], []
+    n = sum(np.count_nonzero(r) + np.count_nonzero(s) for _, r, s in _pair_masks(idx_chunk, kp_chunk, window))
+    pairs, at = np.empty((n, 2), np.int32), 0
     for o, right, left in _pair_masks(idx_chunk, kp_chunk, window):
         first, second = idx_chunk[:, :l - o], idx_chunk[:, o:]
-        cs += [first[right], second[left]]
-        os_ += [second[right], first[left]]
-    return np.concatenate(cs), np.concatenate(os_)
+        for mask, center, context in ((right, first, second), (left, second, first)):
+            m = np.count_nonzero(mask)
+            pairs[at:at + m, 0] = center[mask]
+            pairs[at:at + m, 1] = context[mask]
+            at += m
+    if rng is not None:
+        rng.shuffle(pairs.view(np.int64)[:, 0])
+    return pairs.T
 
 
 def _compact_rows(idx: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -334,14 +344,9 @@ def train(walks: np.ndarray, params: TrainParams, key_fn=None) -> EmbeddingMatri
         epoch_loss, epoch_pairs = 0.0, 0
         for c0 in range(0, len(perm), _CHUNK_WALKS):
             rows = perm[c0:c0 + _CHUNK_WALKS]
-            # the last chunk's pairs go before this chunk's are drawn, an unshuffled
-            # array once it is shuffled, the permutation once used: all add to ws
+            # one pair buffer per chunk, shuffled in place; the last chunk's is freed first
             centers = contexts = None
-            centers, contexts = _pairs_for_chunk(idx_e[rows], kp[rows], params.window)
-            shuffle = rng_e.permutation(len(centers))
-            centers = np.take(centers, shuffle)
-            contexts = np.take(contexts, shuffle)
-            shuffle = None
+            centers, contexts = _pairs_for_chunk(idx_e[rows], kp[rows], params.window, rng_e)
             for b0 in range(0, len(centers), batch_pairs):
                 lr = max(_MIN_LEARNING_RATE, params.learning_rate * (1.0 - (done + b0) / total_pairs))
                 b1 = min(b0 + batch_pairs, len(centers))

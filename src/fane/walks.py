@@ -152,7 +152,11 @@ class TransitionModel:
     first steps). Those states are sampled by rejection from the proposal
     prefix sums of row v, ``sum_cum[sum_off[v]:sum_off[v] + deg(v)]``;
     ``sum_off`` is -1 on rows with tables. ``tau`` is the threshold the
-    tables were built at, 0 when none were.
+    tables were built at, 0 when none were. An entry is a float64
+    acceptance and a uint16 alias column; offsets are int32. Both always
+    suffice: the tables hold at most _MAX_TABLE_ENTRIES = 10**8 entries, so
+    offsets stay below 2**31, and the deg(v)**2 among them of a tabled row
+    v keep its columns below 10**4.
     """
 
     params: WalkParams
@@ -196,12 +200,12 @@ def preprocess_transitions(g: AugmentedGraph, params: WalkParams, tau: int = 102
                        "as at tau=0", tau, node_entries + edge_entries, _MAX_TABLE_ENTRIES)
         return preprocess_transitions(g, params, tau=0)
 
-    node_off = np.full(g.n_total, -1, np.int64)
+    node_off = np.full(g.n_total, -1, np.int32)
     node_accept = np.empty(node_entries, np.float64)
-    node_alias = np.empty(node_entries, np.int32)
-    edge_off = np.full(int(g.indptr[-1]), -1, np.int64)
+    node_alias = np.empty(node_entries, np.uint16)
+    edge_off = np.full(int(g.indptr[-1]), -1, np.int32)
     edge_accept = np.empty(edge_entries, np.float64)
-    edge_alias = np.empty(edge_entries, np.int32)
+    edge_alias = np.empty(edge_entries, np.uint16)
     if node_entries:
         # CSR order is (source, target) order, so these keys come sorted
         keys = np.repeat(np.arange(g.n_total, dtype=np.int64) * g.n_total, deg)

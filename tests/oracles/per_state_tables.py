@@ -21,9 +21,9 @@ def per_state_tables(g, params, tau):
     node_entries = int(deg[small].sum())
     edge_entries = int((deg[small] * deg[small]).sum())
 
-    node_off = np.full(g.n_total, -1, np.int64)
+    node_off = np.full(g.n_total, -1, np.int32)
     node_accept = np.empty(node_entries, np.float64)
-    node_alias = np.empty(node_entries, np.int32)
+    node_alias = np.empty(node_entries, np.uint16)
     pos = 0
     for v in np.nonzero(small)[0]:
         acc, ali = build_alias(transition_distribution(g, params, SENTINEL_START, int(v)))
@@ -33,9 +33,9 @@ def per_state_tables(g, params, tau):
         node_alias[pos:pos + d] = ali
         pos += d
 
-    edge_off = np.full(len(g.neighbors), -1, np.int64)
+    edge_off = np.full(len(g.neighbors), -1, np.int32)
     edge_accept = np.empty(edge_entries, np.float64)
-    edge_alias = np.empty(edge_entries, np.int32)
+    edge_alias = np.empty(edge_entries, np.uint16)
     pos = 0
     for u in range(g.n_total):
         for e in range(g.indptr[u], g.indptr[u + 1]):

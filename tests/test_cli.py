@@ -1,7 +1,9 @@
 import re
+import weakref
 
 import pytest
 
+from fane import cli
 from fane.cli import main, load_config, _parse_ratios, _parse_series
 
 EDGES = "0 1\n1 2\n2 3\n3 0\n0 2\n"
@@ -194,6 +196,27 @@ def test_run_pipeline_and_manifest_round_trip(dataset, tmp_path):
     assert rc == 0
     for name in ("stats.txt", "corpus.txt", "embeddings.txt", "report.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_run_frees_the_sampler_before_training(dataset, tmp_path, monkeypatch):
+    refs, dead_at_train = [], []
+    preprocess, train = cli.preprocess_transitions, cli.train
+
+    def tracked_preprocess(*args, **kwargs):
+        model = preprocess(*args, **kwargs)
+        refs.append(weakref.ref(model))
+        return model
+
+    def checked_train(*args, **kwargs):
+        dead_at_train.append(refs[0]() is None)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "preprocess_transitions", tracked_preprocess)
+    monkeypatch.setattr(cli, "train", checked_train)
+    assert main(["run", "--edges", str(dataset / "edges.txt"), "--attrs", str(dataset / "attrs.txt"),
+                 "--walk-length", "8", "--walks-per-node", "2", "--dim", "4", "--window", "2",
+                 "--epochs", "1", "--seed", "3", "--out", str(tmp_path / "run")]) == 0
+    assert dead_at_train == [True]
 
 
 def test_dry_run_writes_manifest_only(dataset, tmp_path):

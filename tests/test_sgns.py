@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fane import EmbeddingMatrix, TrainParams, build_vocabulary, sgns, train
 from fane.sgns import (_apply_batch, _epoch_draws, _log_sigmoid, _pairs_for_chunk, _row_order,
                        sgns_gradients)
-from oracles import row_loop, unsliced_batch
+from oracles import chunk_shuffle, row_loop, unsliced_batch
 from oracles.sgns_reference import apply_batch, log_sigmoid, sigmoid, sgns_step
 
 
@@ -119,6 +119,37 @@ def test_dynamic_window_respects_kprime():
     expected = sorted([(0, 1), (1, 0), (1, 2), (1, 3), (2, 1), (2, 3),
                        (3, 2), (3, 1), (3, 0)])
     assert pairs == expected
+
+
+@pytest.mark.parametrize("min_keep", [None, 0.6], ids=["all-tokens", "subsampled"])
+def test_chunk_shuffle_matches_permutation_and_take(min_keep):
+    walks = np.random.default_rng(8).integers(0, 300, size=(1500, 30)).astype(np.int32)
+    keep_prob = None if min_keep is None else np.random.default_rng(9).uniform(min_keep, 1.0, 300)
+    idx, kp, perm, rng = _epoch_draws(walks, keep_prob, TrainParams(window=5, seed=4), 0)
+    ref = np.random.default_rng()
+    ref.bit_generator.state = rng.bit_generator.state
+    for c0 in (0, 1024):   # two chunks: the stream carries from one to the next
+        rows = perm[c0:c0 + 1024]
+        got = _pairs_for_chunk(idx[rows], kp[rows], 5, rng)
+        want = chunk_shuffle.shuffled_pairs(idx[rows], kp[rows], 5, ref)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert np.array_equal(rng.random(16), ref.random(16))
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_chunk_pairs_peak_memory_is_one_pair_buffer(shuffled):
+    # the pairs of a chunk in one int32 buffer, shuffled in place: no
+    # per-offset lists beside their concatenation, no permuted copies
+    walks = np.random.default_rng(6).integers(0, 2000, size=(1024, 40)).astype(np.int32)
+    idx, kp, _, rng = _epoch_draws(walks, None, TrainParams(window=5), 0)
+    tracemalloc.start()
+    try:
+        centers, _ = _pairs_for_chunk(idx, kp, 5, rng) if shuffled else _pairs_for_chunk(idx, kp, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * 8 * len(centers), peak / (8 * len(centers))
 
 
 def _clique_corpus(rng, tokens, n_walks, length):

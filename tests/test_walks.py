@@ -1,6 +1,7 @@
 import io
 import json
 import logging
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,24 @@ def test_batched_tables_match_per_state_reference_on_webkb(data_root):
     params = WalkParams(p=1.0, q=0.5, r=2.0, strategy=TF)
     model = preprocess_transitions(ag, params, tau=1024)
     _assert_tables_identical(model, per_state_tables(ag, params, 1024))
+
+
+def test_table_columns_and_offsets_fit_their_dtypes(five_node_graph):
+    model = preprocess_transitions(five_node_graph, WalkParams(), tau=64)
+    budget = walks_module._MAX_TABLE_ENTRIES
+    for alias, off in ((model.node_alias, model.node_off), (model.edge_alias, model.edge_off)):
+        # a tabled row v has deg(v)**2 <= budget entries, so columns stay below isqrt(budget)
+        assert isqrt(budget) - 1 <= np.iinfo(alias.dtype).max
+        assert budget - 1 <= np.iinfo(off.dtype).max
+
+
+def test_cora_model_holds_ten_bytes_per_table_entry(data_root):
+    ag = build_augmented(AttributedGraph.load_dir(data_root / "cora"))
+    model = preprocess_transitions(ag, WalkParams(p=1.0, q=0.5, r=2.0), tau=1024)
+    held = sum(a.nbytes for a in vars(model).values() if isinstance(a, np.ndarray))
+    allowed = (10 * model.n_precomputed_entries + 4 * len(ag.neighbors) + 4 * ag.n_total
+               + model.sum_off.nbytes + model.sum_cum.nbytes)
+    assert model.n_precomputed_entries > 0 and held <= allowed, (held, allowed)
 
 
 def test_stored_distributions_match_on_demand(five_node_graph):
