@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .graph import (AttributedGraph, GraphFormatError, build_augmented,
                     load_attributes, load_edge_list, load_labels, parse_labels,
-                    parse_sparse_attributes, read_records, stats)
+                    parse_sparse_attributes, read_nodemap, read_records, stats)
 from .sgns import EmbeddingMatrix, TrainParams, train
 from .walks import (STRATEGIES, WalkParams, generate_corpus, load_corpus_tokens,
                     preprocess_transitions)
@@ -203,22 +203,14 @@ def _parse_series(text: str) -> list[int]:
 
 
 def _read_nodemap(path, tokens) -> dict:
-    """id -> name; ids and names must not repeat, and a mapped corpus token's
-    name must not be another corpus token that keeps its own id as key."""
-    names, seen = {}, {}
-    for lineno, (node, name) in read_records(path, "nodemap", "id name"):
-        for what, value in (("id", node), ("name", name)):
-            if (what, value) in seen:
-                raise GraphFormatError(f"nodemap line {lineno}: {what} {value!r} "
-                                       f"repeats line {seen[what, value]}")
-            seen[what, value] = lineno
-        names[node] = name
-    tokens = set(tokens)
-    for node, name in names.items():
-        if node in tokens and name in tokens and name not in names:
-            raise GraphFormatError(f"nodemap line {seen['name', name]}: name {name!r} "
+    """id -> name of read_nodemap; a mapped corpus token's name must not be
+    another corpus token that keeps its own id as key."""
+    entries, tokens = read_nodemap(path), set(tokens)
+    for node, (name, lineno) in entries.items():
+        if node in tokens and name in tokens and name not in entries:
+            raise GraphFormatError(f"nodemap line {lineno}: name {name!r} "
                                    f"is also a corpus token that no line maps")
-    return names
+    return {node: name for node, (name, _) in entries.items()}
 
 
 def _load_graph(cfg) -> AttributedGraph:
@@ -252,8 +244,14 @@ def _train_params(cfg) -> TrainParams:
     )
 
 
-def _classify(emb: EmbeddingMatrix, keys, y, cfg, path):
-    """Train-ratio sweep on the embedding rows of ``keys``; writes the report CSV."""
+def _classify(emb: EmbeddingMatrix, labels: dict, cfg, path):
+    """Train-ratio sweep on the embedding rows that ``labels`` (key -> class
+    name) labels, in row order, with classes numbered by sorted name;
+    writes the report CSV."""
+    keys = [k for k in emb.keys if k in labels]
+    if not keys:
+        raise GraphFormatError("no embedding rows carry a label; cannot evaluate")
+    _, y = np.unique([labels[k] for k in keys], return_inverse=True)
     feats = emb.rows_for(keys).astype(np.float64)
     report = ev.evaluate_classification(feats, y, _parse_ratios(cfg["ratios"]), C=cfg["C"],
                                         repetitions=cfg["reps"], seed=cfg["seed"])
@@ -302,12 +300,8 @@ def cmd_embed(args, cfg) -> int:
 def cmd_eval(args, cfg) -> int:
     emb = (EmbeddingMatrix.load_binary if args.binary else EmbeddingMatrix.load_text)(args.embeddings)
     # label lines of nodes without an embedding row do not score
-    labels = {node: cls for _, node, cls in parse_labels(_need(cfg, "labels")) if node in emb}
-    keys = [k for k in emb.keys if k in labels]
-    if not keys:
-        raise GraphFormatError("no embedding rows carry a label; cannot evaluate")
-    _, y = np.unique([labels[k] for k in keys], return_inverse=True)
-    report = _classify(emb, keys, y, cfg, args.out)
+    labels = {node: cls for _, node, cls in parse_labels(_need(cfg, "labels"))}
+    report = _classify(emb, labels, cfg, args.out)
     for row in report.ratio_summary():
         print(f"ratio={row['ratio']:.2f} micro={row['micro_mean']:.4f}"
               f"±{row['micro_std']:.4f} macro={row['macro_mean']:.4f}"
@@ -399,10 +393,9 @@ def run_pipeline(cfg: dict, dry_run: bool = False) -> dict:
 
         if cfg["labels"]:
             stage = "eval"
-            labeled = sorted(ag.labels)
             artifacts["report"] = out / "report.csv"
-            _classify(emb, [ag.node_names[v] for v in labeled],
-                      np.array([ag.labels[v] for v in labeled]), cfg, artifacts["report"])
+            _classify(emb, {ag.node_names[v]: ag.class_names[c] for v, c in ag.labels.items()},
+                      cfg, artifacts["report"])
     except Exception as e:
         raise PipelineError(f"stage '{stage}' failed: {e}") from e
     return artifacts

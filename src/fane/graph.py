@@ -289,6 +289,20 @@ def parse_labels(source):
         yield lineno, node, cls
 
 
+def read_nodemap(source) -> dict[str, tuple[str, int]]:
+    """id -> (name, line number) from "id name" lines, in line order. An id
+    or a name that repeats raises GraphFormatError naming both lines."""
+    out, seen = {}, {}
+    for lineno, (node, name) in read_records(source, "nodemap", "id name"):
+        for what, value in (("id", node), ("name", name)):
+            if (what, value) in seen:
+                raise GraphFormatError(f"nodemap line {lineno}: {what} {value!r} "
+                                       f"repeats line {seen[what, value]}")
+            seen[what, value] = lineno
+        out[node] = name, lineno
+    return out
+
+
 @dataclass
 class AttributedGraph:
     """Undirected weighted graph + sparse attribute matrix + optional labels.
@@ -339,11 +353,11 @@ class AttributedGraph:
     def save(self, out_dir) -> None:
         """Write edges/attrs/labels/nodemap text files.
 
-        :meth:`load_dir` reads back the same names, edges, weights,
-        attributes and labels, but numbers the nodes in the first-seen order
-        of the edge lines; nodemap.txt maps those ids to names. A node name
-        starting with '#' would begin a comment line, so it raises
-        GraphFormatError before any file is written.
+        nodemap.txt holds one "id name" line per node in id order, so
+        :meth:`load_dir` reads back the same ids, names, edges, weights,
+        attributes and labels. A node name starting with '#' would begin a
+        comment line, so it raises GraphFormatError before any file is
+        written.
         """
         for name in self.node_names:
             if name.startswith("#"):
@@ -353,11 +367,9 @@ class AttributedGraph:
         with open(out / "edges.txt", "w", encoding="utf-8") as f:
             for a, b, w in zip(self.edge_src, self.edge_dst, self.edge_weight):
                 f.write(f"{self.node_names[a]} {self.node_names[b]} {float(w)!r}\n")
-        ends = np.stack([self.edge_src, self.edge_dst], axis=1).ravel()     # in line order
-        first = np.sort(np.unique(ends, return_index=True)[1])
         with open(out / "nodemap.txt", "w", encoding="utf-8") as f:
-            for i, v in enumerate(ends[first].tolist()):
-                f.write(f"{i} {self.node_names[v]}\n")
+            for i, name in enumerate(self.node_names):
+                f.write(f"{i} {name}\n")
         if self.nnz_attributes:
             with open(out / "attrs.txt", "w", encoding="utf-8") as f:
                 for v, a, x in zip(self.attr_node, self.attr_id, self.attr_value):
@@ -371,10 +383,22 @@ class AttributedGraph:
     def load_dir(cls, in_dir) -> "AttributedGraph":
         """Load a directory of edges.txt and optional sparse attrs.txt / labels.txt.
 
-        Reads what :meth:`save` writes, or a dataset's hand-written files.
+        Reads what :meth:`save` writes, or a dataset's hand-written files. A
+        nodemap.txt fixes the ids: its ids must run 0, 1, ... in line order
+        and name each node of the edge lines once.
         """
-        in_dir = Path(in_dir)
-        g = load_edge_list(in_dir / "edges.txt")
+        in_dir, names = Path(in_dir), None
+        if (in_dir / "nodemap.txt").exists():
+            entries = read_nodemap(in_dir / "nodemap.txt")
+            names, lines = [name for name, _ in entries.values()], [line for _, line in entries.values()]
+            for i, node in enumerate(entries):
+                if node != str(i):
+                    raise GraphFormatError(f"nodemap line {lines[i]}: id {node!r}, expected {i}")
+        g = load_edge_list(in_dir / "edges.txt", names)
+        unlinked = np.setdiff1d(np.arange(g.n_nodes), np.concatenate([g.edge_src, g.edge_dst]))
+        if len(unlinked):    # only a map numbers a node that no edge line names
+            v = unlinked[0]
+            raise GraphFormatError(f"nodemap line {lines[v]}: node {names[v]!r} is on no edge line")
         attrs = in_dir / "attrs.txt"
         if attrs.exists():
             load_attributes(attrs, g)
@@ -384,17 +408,18 @@ class AttributedGraph:
         return g
 
 
-def load_edge_list(source) -> AttributedGraph:
+def load_edge_list(source, names: list[str] | None = None) -> AttributedGraph:
     """Parse "src dst [weight]" lines into an AttributedGraph (edges only).
 
     Lines starting with '#' are comments; the weight defaults to 1.0 and
     must be positive and finite. Self-loops are dropped (counted), duplicate
     undirected edges are merged by summing weights, and node ids are
-    remapped to dense integers in first-seen order. A node named only in
+    remapped to dense integers in first-seen order, or to their index in
+    ``names`` when given, which must hold every node. A node named only in
     self-loop lines would be left without neighbours, and raises
     GraphFormatError naming the first such line.
     """
-    ids: dict[str, int] = {}
+    ids = {name: i for i, name in enumerate(names or ())}
     ends, weights, lines = array("q"), array("d"), array("q")
     for lineno, fields in read_records(source, "edge list", "src dst [weight]"):
         w = 1.0
@@ -409,8 +434,11 @@ def load_edge_list(source) -> AttributedGraph:
         ends.append(ids.setdefault(fields[1], len(ids)))
         weights.append(w)
         lines.append(lineno)
-    g = _edge_graph(np.frombuffer(ends, np.int64).reshape(-1, 2), np.frombuffer(weights),
-                    list(ids), np.frombuffer(lines, np.int64))
+    uv, lines = np.frombuffer(ends, np.int64).reshape(-1, 2), np.frombuffer(lines, np.int64)
+    if names is not None and len(ids) > len(names):
+        i = int(np.argmax(uv.max(axis=1) >= len(names)))     # the first line of the first new name
+        raise GraphFormatError(f"edge list line {lines[i]}: node {list(ids)[len(names)]!r} is not in nodemap.txt")
+    g = _edge_graph(uv, np.frombuffer(weights), list(ids), lines)
     if g.dropped_self_loops:
         logger.warning("dropped %d self-loop(s) while loading edge list", g.dropped_self_loops)
     return g

@@ -22,7 +22,8 @@ update slots, each about _SLICE_ELEMENTS floats; slicing changes no bit of
 the result. train allocates these once, in a _Workspace sized for its
 largest batch, and every batch writes into it.
 Everything is keyed by vocabulary position (first appearance in the
-corpus), so relabeling node ids permutes the output rows and nothing else.
+corpus), and the output rows are in that order, so relabeling node ids
+changes the row keys and nothing else.
 """
 
 from __future__ import annotations
@@ -294,9 +295,10 @@ def _epoch_draws(idx: np.ndarray, keep_prob, params: TrainParams, epoch: int):
 def train(walks: np.ndarray, params: TrainParams, key_fn=None) -> EmbeddingMatrix:
     """Train an embedding over a (n_walks, walk_length) token matrix.
 
-    key_fn maps a token to its output key (default str). Updates are
-    sequential, so the result is byte-reproducible for a fixed seed. The
-    learning rate decays linearly over the exact pair budget: one pass
+    Rows are in vocabulary order, each token's first appearance in
+    ``walks``; key_fn maps a token to its row's key (default str). Updates
+    are sequential, so the result is byte-reproducible for a fixed seed.
+    The learning rate decays linearly over the exact pair budget: one pass
     counts every epoch's pairs, then training redraws each epoch from its
     stream, so memory holds one epoch's window draws at a time; each batch
     draws its negatives from that stream just before it trains. Every
@@ -359,10 +361,8 @@ def train(walks: np.ndarray, params: TrainParams, key_fn=None) -> EmbeddingMatri
             epoch_pairs += len(centers)
         losses.append(epoch_loss / max(epoch_pairs, 1))
 
-    order = np.argsort(tokens, kind="stable")
-    keys = [(key_fn or str)(int(t)) for t in tokens[order]]
-    return EmbeddingMatrix(keys=keys, vectors=in_vecs[order], out_vectors=out_vecs[order],
-                           epoch_losses=losses)
+    keys = [(key_fn or str)(t) for t in tokens.tolist()]
+    return EmbeddingMatrix(keys=keys, vectors=in_vecs, out_vectors=out_vecs, epoch_losses=losses)
 
 
 class _Workspace:

@@ -155,10 +155,10 @@ def test_build_walk_embed_eval_viz_chain(dataset, tmp_path, capsys):
 
 
 def test_staged_chain_keys_each_token_to_its_node(tmp_path):
-    """`walk` renumbers the bundle's nodes in the first-seen order of its
-    edge lines, which differs from the input's here. The bundle's nodemap
-    must name the ids `walk` writes: every step of the corpus then maps to
-    an input edge. The `--dump` file names nodes, not ids."""
+    """`walk` keeps the ids `build` gave, which the bundle's nodemap lists in
+    id order, though the bundle's edge lines name the nodes in another order
+    here. Every step of the corpus then maps to an input edge. The `--dump`
+    file names nodes, not ids."""
     (tmp_path / "edges.txt").write_text("n0 n1\nn2 n3\nn1 n3\n")
     edges = {frozenset(e) for e in (("n0", "n1"), ("n2", "n3"), ("n1", "n3"))}
     bundle, corpus, emb = tmp_path / "bundle", tmp_path / "corpus.txt", tmp_path / "emb.txt"
@@ -175,6 +175,56 @@ def test_staged_chain_keys_each_token_to_its_node(tmp_path):
     for line in (bundle / "augmented.txt").read_text().splitlines():
         kind, name, _, *nbrs = line.split()
         assert kind == "raw" and all(frozenset((name, x.split("(")[0])) in edges for x in nbrs)
+
+
+@pytest.mark.parametrize("name", ["webkb", "adjnoun"])
+def test_staged_chain_writes_what_run_writes(name, data_root, tmp_path):
+    """build -> walk -> embed -> eval and `run --save-corpus` number nodes,
+    embedding rows and labelled rows one way, so with the same settings
+    they write the same corpus, embeddings and report, byte for byte."""
+    d = data_root / name
+    labels = ["--labels", str(d / "labels.txt")] if (d / "labels.txt").exists() else []
+    walk = ["--p", "1", "--q", "0.5", "--r", "2", "--walk-length", "10", "--walks-per-node", "1",
+            "--seed", "1"]
+    embed = ["--dim", "8", "--window", "3", "--epochs", "1", "--lr", "0.2", "--seed", "1"]
+    evaluate = ["--ratios", "0.5", "--reps", "2", "--C", "1", "--seed", "1"]
+    bundle, corpus, emb = tmp_path / "bundle", tmp_path / "corpus.txt", tmp_path / "embeddings.txt"
+    assert main(["build", "--edges", str(d / "edges.txt"), "--attrs", str(d / "attrs.txt"),
+                 "--out", str(bundle)]) == 0
+    assert main(["walk", "--graph", str(bundle), *walk, "--out", str(corpus)]) == 0
+    assert main(["embed", "--corpus", str(corpus), "--nodemap", str(bundle / "nodemap.txt"), *embed,
+                 "--out", str(emb)]) == 0
+    files = ["corpus.txt", "embeddings.txt"]
+    if labels:
+        assert main(["eval", "--embeddings", str(emb), *labels, *evaluate,
+                     "--out", str(tmp_path / "report.csv")]) == 0
+        files.append("report.csv")
+    run = tmp_path / "run"
+    assert main(["run", "--edges", str(d / "edges.txt"), "--attrs", str(d / "attrs.txt"), *labels,
+                 *walk, *embed, *evaluate, "--save-corpus", "--out", str(run)]) == 0
+    for f in files:
+        assert (tmp_path / f).read_bytes() == (run / f).read_bytes(), f
+
+
+@pytest.mark.parametrize("nodemap,message", [
+    ("0 n0\n1 n0\n2 n2\n", "nodemap line 2: name 'n0' repeats line 1"),
+    ("0 n0\n0 n1\n2 n2\n", "nodemap line 2: id '0' repeats line 1"),
+    ("0 n0\n# n1\n2 n1\n1 n2\n", "nodemap line 3: id '2', expected 1"),
+    ("0 n0\n1 n1\n", "edge list line 2: node 'n2' is not in nodemap.txt"),
+    ("0 n0\n1 n1\n2 n2\n3 n3\n", "nodemap line 4: node 'n3' is on no edge line"),
+], ids=["name-repeats", "id-repeats", "ids-out-of-line-order", "node-left-out", "node-on-no-edge"])
+def test_walk_rejects_a_bundle_nodemap_that_does_not_fit(nodemap, message, tmp_path, capsys):
+    """The bundle's nodemap fixes the ids `walk` uses: it must name each node
+    of the edge lines once, with ids 0, 1, ... in line order, or `walk`
+    exits 2 naming the line."""
+    (tmp_path / "edges.txt").write_text("n0 n1\nn1 n2\n")
+    bundle, corpus = tmp_path / "bundle", tmp_path / "corpus.txt"
+    assert main(["build", "--edges", str(tmp_path / "edges.txt"), "--out", str(bundle)]) == 0
+    (bundle / "nodemap.txt").write_text(nodemap)
+    assert main(["walk", "--graph", str(bundle), "--walk-length", "4", "--walks-per-node", "1",
+                 "--out", str(corpus)]) == 2
+    assert message in capsys.readouterr().err
+    assert not corpus.exists()
 
 
 def test_run_pipeline_and_manifest_round_trip(dataset, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fane
-from fane import (GraphFormatError, build_augmented, load_attributes,
+from fane import (AttributedGraph, GraphFormatError, build_augmented, load_attributes,
                   load_edge_list, load_labels, stats)
 
 
@@ -222,6 +223,21 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     g2.save(tmp_path / "g2")
     for fn in ("edges.txt", "attrs.txt", "labels.txt", "nodemap.txt"):
         assert (tmp_path / "g" / fn).read_bytes() == (tmp_path / "g2" / fn).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["cora", "citeseer", "webkb", "adjnoun"])
+def test_save_load_keeps_every_field_of_a_dataset(name, data_root, tmp_path):
+    """load_dir(save(g)) keeps the ids, the edge order and weights, the
+    attributes and the labels, to the bit."""
+    def digest(g):
+        h = hashlib.sha1(repr((g.n_nodes, g.node_names, g.n_attrs, sorted(g.labels.items()),
+                               g.class_names)).encode())
+        for a in (g.edge_src, g.edge_dst, g.edge_weight, g.attr_node, g.attr_id, g.attr_value):
+            h.update(a.dtype.str.encode() + np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+    g = AttributedGraph.load_dir(data_root / name)
+    g.save(tmp_path / name)
+    assert digest(AttributedGraph.load_dir(tmp_path / name)) == digest(g)
 
 
 def test_dump_format(five_node_graph, tmp_path):

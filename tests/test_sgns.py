@@ -298,6 +298,28 @@ def test_train_peak_memory_grows_with_the_batch_not_the_chunk():
     assert peaks[25] - peaks[5] < 2 * pairs * 20 * 8 / 4
 
 
+def test_train_peaks_in_its_batch_loop(monkeypatch):
+    """Nothing after the last batch raises train's traced peak: it hands out
+    its rows in vocabulary order (first appearance), not copies of them in
+    another order."""
+    walks = np.random.default_rng(9).integers(0, 400, size=(100, 20))
+    peaks = []
+
+    def spy(*args):
+        loss = _apply_batch(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return loss
+    monkeypatch.setattr(sgns, "_apply_batch", spy)
+    tracemalloc.start()
+    try:
+        emb = train(walks, TrainParams(dimension=64, window=2, negatives=2, epochs=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak == peaks[-1], peak - peaks[-1]
+    assert emb.keys == [str(t) for t in dict.fromkeys(walks.ravel().tolist())]
+
+
 def test_export_import_round_trip_text(tmp_path):
     rng = np.random.default_rng(21)
     walks = rng.integers(0, 8, size=(30, 6))
