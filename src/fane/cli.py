@@ -39,7 +39,10 @@ EXIT_STAGE = 3
 
 def _default_seed() -> int:
     env = os.environ.get("FANE_SEED")
-    return int(env) if env else 1
+    try:
+        return int(env) if env else 1
+    except ValueError:
+        raise ValueError(f"FANE_SEED must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------- options
@@ -231,6 +234,8 @@ def _write_stats(path, ag) -> dict:
 
 
 def _walk_params(cfg) -> WalkParams:
+    if cfg["tau"] < 0:
+        raise ValueError("tau must be >= 0")
     return WalkParams(
         p=cfg["p"], q=cfg["q"], r=cfg["r"], strategy=cfg["strategy"],
         walk_length=cfg["walk_length"], walks_per_node=cfg["walks_per_node"], seed=cfg["seed"],
@@ -244,7 +249,16 @@ def _train_params(cfg) -> TrainParams:
     )
 
 
-def _classify(emb: EmbeddingMatrix, labels: dict, cfg, path):
+def _eval_ratios(cfg) -> list[float]:
+    """The train ratios; a bad ratio, C or reps raises ValueError."""
+    if not cfg["C"] > 0:
+        raise ValueError(f"C must be positive, got {cfg['C']}")
+    if cfg["reps"] < 1:
+        raise ValueError(f"reps must be >= 1, got {cfg['reps']}")
+    return _parse_ratios(cfg["ratios"])
+
+
+def _classify(emb: EmbeddingMatrix, labels: dict, ratios, cfg, path):
     """Train-ratio sweep on the embedding rows that ``labels`` (key -> class
     name) labels, in row order, with classes numbered by sorted name;
     writes the report CSV."""
@@ -253,7 +267,7 @@ def _classify(emb: EmbeddingMatrix, labels: dict, cfg, path):
         raise GraphFormatError("no embedding rows carry a label; cannot evaluate")
     _, y = np.unique([labels[k] for k in keys], return_inverse=True)
     feats = emb.rows_for(keys).astype(np.float64)
-    report = ev.evaluate_classification(feats, y, _parse_ratios(cfg["ratios"]), C=cfg["C"],
+    report = ev.evaluate_classification(feats, y, ratios, C=cfg["C"],
                                         repetitions=cfg["reps"], seed=cfg["seed"])
     with _artifact(path) as tmp:
         report.save_csv(tmp)
@@ -277,8 +291,9 @@ def cmd_build(args, cfg) -> int:
 
 
 def cmd_walk(args, cfg) -> int:
+    params = _walk_params(cfg)
     ag = build_augmented(AttributedGraph.load_dir(args.graph))
-    model = preprocess_transitions(ag, _walk_params(cfg), tau=cfg["tau"])
+    model = preprocess_transitions(ag, params, tau=cfg["tau"])
     corpus = generate_corpus(ag, model)
     with _artifact(args.out) as tmp:
         corpus.save(tmp)
@@ -287,9 +302,10 @@ def cmd_walk(args, cfg) -> int:
 
 
 def cmd_embed(args, cfg) -> int:
+    params = _train_params(cfg)
     walks, tokens = load_corpus_tokens(args.corpus)
     names = _read_nodemap(args.nodemap, tokens) if args.nodemap else {}
-    emb = train(walks, _train_params(cfg), key_fn=lambda i: names.get(tokens[i], tokens[i]))
+    emb = train(walks, params, key_fn=lambda i: names.get(tokens[i], tokens[i]))
     with _artifact(args.out) as tmp:
         (emb.save_binary if args.binary else emb.save_text)(tmp)
     print(f"wrote {len(emb)} x {emb.dimension} embedding to {args.out} "
@@ -298,10 +314,11 @@ def cmd_embed(args, cfg) -> int:
 
 
 def cmd_eval(args, cfg) -> int:
+    ratios = _eval_ratios(cfg)
     emb = (EmbeddingMatrix.load_binary if args.binary else EmbeddingMatrix.load_text)(args.embeddings)
     # label lines of nodes without an embedding row do not score
     labels = {node: cls for _, node, cls in parse_labels(_need(cfg, "labels"))}
-    report = _classify(emb, labels, cfg, args.out)
+    report = _classify(emb, labels, ratios, cfg, args.out)
     for row in report.ratio_summary():
         print(f"ratio={row['ratio']:.2f} micro={row['micro_mean']:.4f}"
               f"±{row['micro_std']:.4f} macro={row['macro_mean']:.4f}"
@@ -363,7 +380,8 @@ def cmd_bench(args, cfg) -> int:
 def run_pipeline(cfg: dict, dry_run: bool = False) -> dict:
     """build -> walk -> embed -> eval with a manifest; returns artifact paths."""
     out = Path(_need(cfg, "out"))
-    _parse_ratios(cfg["ratios"])   # a bad value exits 2 before any stage runs
+    # a bad setting exits 2 before any stage runs
+    walk_params, train_params, ratios = _walk_params(cfg), _train_params(cfg), _eval_ratios(cfg)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = {"manifest": out / "manifest.txt"}
     write_manifest(artifacts["manifest"], cfg)
@@ -379,14 +397,14 @@ def run_pipeline(cfg: dict, dry_run: bool = False) -> dict:
 
         stage = "walk"
         # the tables go once the corpus is walked, before train allocates
-        corpus = generate_corpus(ag, preprocess_transitions(ag, _walk_params(cfg), tau=cfg["tau"]))
+        corpus = generate_corpus(ag, preprocess_transitions(ag, walk_params, tau=cfg["tau"]))
         if cfg["save_corpus"]:
             artifacts["corpus"] = out / "corpus.txt"
             with _artifact(artifacts["corpus"]) as tmp:
                 corpus.save(tmp)
 
         stage = "embed"
-        emb = train(corpus.walks, _train_params(cfg), key_fn=ag.export_key)
+        emb = train(corpus.walks, train_params, key_fn=ag.export_key)
         artifacts["embeddings"] = out / "embeddings.txt"
         with _artifact(artifacts["embeddings"]) as tmp:
             emb.save_text(tmp)
@@ -395,7 +413,7 @@ def run_pipeline(cfg: dict, dry_run: bool = False) -> dict:
             stage = "eval"
             artifacts["report"] = out / "report.csv"
             _classify(emb, {ag.node_names[v]: ag.class_names[c] for v, c in ag.labels.items()},
-                      cfg, artifacts["report"])
+                      ratios, cfg, artifacts["report"])
     except Exception as e:
         raise PipelineError(f"stage '{stage}' failed: {e}") from e
     return artifacts

@@ -46,11 +46,13 @@ def _open_text(source):
             f.detach()
 
 
-# load_attributes reads a sparse attribute file's bytes once and parses them
-# with numpy block by block. On a byte or number the scanner does not define,
-# or on any fault, it hands the same text to the per-record parser, which
-# gives the same matrix or names the bad line. load_edge_list and load_labels
-# parse per record: on edge and label files the scanner measured no faster.
+# load_attributes reads a sparse attribute file's bytes once and parses its
+# plain "node attr" lines with numpy block by block: printable ASCII, two
+# fields, the index plain digits, LF line ends. On a value column, a CR, a
+# sign, any other byte, or any fault, it hands the same text to the per-record
+# parser, which gives the same matrix or names the bad line. load_edge_list and
+# load_labels parse per record: on edge and label files the scanner measured
+# no faster.
 
 # Bytes per block, each ending on a newline. 128 KB keeps one block's
 # temporaries below the key and order of the attribute sort, where the scanner
@@ -58,15 +60,13 @@ def _open_text(source):
 _BLOCK_BYTES = 1 << 17
 # Largest padded name matrix, in bytes, that one np.unique sorts.
 _NAME_BYTES = 1 << 22
-# Longest number token the scanner parses.
-_NUMBER_BYTES = 32
 
-# Bytes the scanner defines: tab, LF, CR (before LF only) and printable ASCII.
+# Bytes the scanner defines: tab, LF and printable ASCII.
 _SCANNED = np.zeros(256, bool)
-_SCANNED[[9, 10, 13]] = True
+_SCANNED[[9, 10]] = True
 _SCANNED[32:127] = True
 _SPACE = np.zeros(256, bool)
-_SPACE[[9, 10, 13, 32]] = True
+_SPACE[[9, 10, 32]] = True
 # what errors="surrogateescape" decodes a byte that is not UTF-8 to
 _ESCAPED = re.compile("[\udc80-\udcff]")
 
@@ -88,28 +88,13 @@ def _read_once(source) -> tuple[bytes, object]:
     return source, source
 
 
-@dataclass
-class _Block:
-    """The data lines of one block: the token spans, and per line the index
-    of its first token and its field count."""
-
-    buf: np.ndarray
-    starts: np.ndarray
-    ends: np.ndarray
-    head: np.ndarray
-    count: np.ndarray
-
-    def field(self, k: int, lines=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        token = self.head[lines] + k
-        return self.starts[token], self.ends[token]
-
-
 def _blocks(data: bytes):
-    """Yield the data lines of ``data`` block by block.
+    """Yield (buf, node, attr) for each block of ``data``: the block's bytes
+    and the (starts, ends) spans of each data line's two tokens.
 
     Raises _Declined on a byte the scanner does not define or on a data line
-    with other than 2 or 3 fields, the layout "node attr [value]". Lines
-    whose first field starts with '#' are comments.
+    with other than 2 fields, the layout "node attr". Lines whose first
+    field starts with '#' are comments.
     """
     pos = 0
     while pos < len(data):
@@ -122,9 +107,6 @@ def _blocks(data: bytes):
         pos = end
         if not _SCANNED[buf].all():
             raise _Declined
-        after_cr = np.flatnonzero(buf == 13) + 1
-        if len(after_cr) and (after_cr[-1] == len(buf) or (buf[after_cr] != 10).any()):
-            raise _Declined
         flips = np.flatnonzero(np.diff(_SPACE[buf], prepend=True, append=True))
         starts, ends = flips[::2], flips[1::2]
         # a line's first token is token 0 or the first one after a newline
@@ -134,10 +116,10 @@ def _blocks(data: bytes):
         head = np.flatnonzero(is_head[:-1])
         count = np.diff(head, append=len(starts))
         data_line = buf[starts[head]] != 35
-        head, count = head[data_line], count[data_line]
-        if ((count < 2) | (count > 3)).any():
+        if (count[data_line] != 2).any():
             raise _Declined
-        yield _Block(buf, starts, ends, head, count)
+        head = head[data_line]
+        yield buf, (starts[head], ends[head]), (starts[head + 1], ends[head + 1])
 
 
 def _padded(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
@@ -167,49 +149,21 @@ def _name_ids(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, lookup: dic
 
 
 def _integers(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Tokens of the form [+-]digits, at most 18 bytes, as int64."""
+    """Tokens of plain digits, at most 18 bytes, as int64."""
     width = int((ends - starts).max(initial=0))
     if width > 18:
         raise _Declined
-    sign = buf[starts]
-    first_digit = starts + ((sign == 43) | (sign == 45))
-    bad = first_digit >= ends
+    bad = np.zeros(len(starts), bool)
     value = np.zeros(len(starts), np.int64)
     for j in range(width, 0, -1):   # right-aligned: byte ends - j
         pos = ends - j
         digit = buf[np.maximum(pos, 0)].astype(np.int64) - 48
-        digit[pos < first_digit] = 0
+        digit[pos < starts] = 0
         bad |= (digit < 0) | (digit > 9)
         value = value * 10 + digit
     if bad.any():
         raise _Declined
-    return np.where(sign == 45, -value, value)
-
-
-def _decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Tokens of at most ``_NUMBER_BYTES`` as float64. numpy's cast of an
-    ASCII token reads and rejects what float() reads and rejects, and
-    rounds as it does."""
-    width = int((ends - starts).max(initial=0))
-    if width > _NUMBER_BYTES:
-        raise _Declined
-    try:
-        return _padded(buf, starts, ends, max(1, width)).astype(np.float64)
-    except ValueError:
-        raise _Declined from None
-
-
-def _optional_decimals(b: _Block, k: int) -> np.ndarray:
-    """Field k of each data line as float64, 1.0 where it is absent."""
-    out = np.ones(len(b.head))
-    has = np.flatnonzero(b.count > k)
-    out[has] = _decimals(b.buf, *b.field(k, has))
-    return out
-
-
-def _positive_finite(x: np.ndarray) -> None:
-    if not ((x > 0.0) & (x < math.inf)).all():
-        raise _Declined
+    return value
 
 
 def valid_utf8(line: str, kind: str, lineno: int) -> str:
@@ -486,7 +440,9 @@ def load_attributes(source, g: AttributedGraph) -> AttributedGraph:
     """Attach an attribute matrix to ``g`` from "node attr [value]" lines.
 
     node is in source-label space and value defaults to 1.0. Entries must be
-    positive: a zero is absence and is rejected.
+    positive: a zero is absence and is rejected. The bulk scanner reads plain
+    "node attr" lines; any other text, a value column included, goes to the
+    per-record parser, which gives the same matrix.
     """
     data, source = _read_once(source)
     try:
@@ -519,20 +475,18 @@ def _scan_sparse_attributes(data: bytes, g: AttributedGraph):
     scanner, sorted by (node, attr); raises _Declined on any fault."""
     lookup = g.name_to_id()
     size = data.count(b"\n") + 1    # at least the number of data lines
-    nodes, attrs, values = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)
+    nodes, attrs = np.empty(size, np.int32), np.empty(size, np.int32)
     filled = 0
-    for b in _blocks(data):
-        rows = slice(filled, filled + len(b.head))
-        nodes[rows] = _name_ids(b.buf, *b.field(0), lookup)
-        a = _integers(b.buf, *b.field(1))
-        if ((a < 0) | (a >= 1 << 31)).any():
+    for buf, node, attr in _blocks(data):
+        rows = slice(filled, filled + len(node[0]))
+        nodes[rows] = _name_ids(buf, *node, lookup)
+        a = _integers(buf, *attr)
+        if (a >= 1 << 31).any():
             raise _Declined
         attrs[rows] = a
-        values[rows] = _optional_decimals(b, 2)
         filled = rows.stop
-    b = a = None    # free the last block's token arrays before the sort
-    _positive_finite(values[:filled])
-    return _attribute_matrix(g, nodes[:filled], attrs[:filled], values[:filled])
+    node = attr = a = None    # free the last block's token arrays before the sort
+    return _attribute_matrix(g, nodes[:filled], attrs[:filled], np.ones(filled))
 
 
 def _attribute_matrix(g: AttributedGraph, nodes, attrs, values, lines=None):

@@ -375,6 +375,34 @@ def test_fane_seed_env_default(dataset, tmp_path, monkeypatch):
     assert c1.read_bytes() != c2.read_bytes()
 
 
+def test_fane_seed_must_be_an_integer(dataset, tmp_path, monkeypatch, capsys):
+    """Every command evaluates the default seed, so even build, which takes no
+    seed, names the variable."""
+    monkeypatch.setenv("FANE_SEED", "1.5")
+    assert main(["build", "--edges", str(dataset / "edges.txt"), "--out", str(tmp_path / "bundle")]) == 2
+    assert "error: FANE_SEED must be an integer, got '1.5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message, command, source", [
+    ("--dim", "0", "dimension must be >= 1", "embed", "--corpus"),
+    ("--p", "0", "p, q, r must all be positive", "walk", "--graph"),
+    ("--tau", "-1", "tau must be >= 0", "walk", "--graph"),
+    ("--C", "0", "C must be positive", "eval", "--embeddings"),
+    ("--reps", "0", "reps must be >= 1", "eval", "--embeddings"),
+], ids=["dim", "p", "tau", "C", "reps"])
+def test_bad_settings_exit_2_before_any_stage(dataset, tmp_path, capsys, flag, value, message, command, source):
+    """run checks every setting before the build stage, and each staged
+    command checks its own before it reads its input."""
+    out = tmp_path / "run"
+    assert main(["run", "--edges", str(dataset / "edges.txt"), "--attrs", str(dataset / "attrs.txt"),
+                 "--labels", str(dataset / "labels.txt"), flag, value, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "stats.txt").exists()
+    assert main([command, source, str(tmp_path / "missing"), flag, value,
+                 "--out", str(tmp_path / "staged")]) == 2
+    assert message in capsys.readouterr().err
+
+
 # a `fane run` manifest as written before TrainParams lost `deterministic` and
 # `workers`, and before the attribute format, attribute-edge weights, raw-graph
 # beta and raw-only starts were deleted

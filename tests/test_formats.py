@@ -1,4 +1,7 @@
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,7 +133,7 @@ ENDS = st.sampled_from(["\n", "\r\n"])
 
 
 def _decimal(x: float):
-    """Spellings of a positive float the scanner parses: its repr, short
+    """Spellings of a positive float that float() reads: its repr, short
     decimals, exponents and signs, a bare leading or trailing dot (.5e-3,
     5.e-03), digit-group underscores (1_234.5), padding zeros (0005.50) and
     an exponent without a dot (1E+05)."""
@@ -141,17 +144,19 @@ def _decimal(x: float):
                             f"000{x:.8f}0", f"{x:.0E}"])
 
 
-def _file(lines):
+def _file(lines, ends=ENDS, unique_by=None):
     """A file of data lines with comments, blank lines, mixed separators and
-    line endings; bytes encoded from the drawn text."""
+    line endings; bytes encoded from the drawn text. ``unique_by`` keys the
+    data lines that must not repeat."""
     def render(parts):
         body, lead, seps, trail, end, extra = parts
         line = lead + "".join(f + s for f, s in zip(body, seps + [""])) + trail
         return extra + line + end
     line = st.tuples(lines, st.sampled_from(["", " ", "\t"]), st.lists(SPACES, min_size=2, max_size=2),
-                     st.sampled_from(["", " ", "\t"]), ENDS,
+                     st.sampled_from(["", " ", "\t"]), ends,
                      st.sampled_from(["", "", "", "# a comment\n", "\n", "  \t\n", "#\n"]))
-    return st.lists(line.map(render), max_size=40).map(lambda rows: "".join(rows).encode())
+    rows = st.lists(line, max_size=40, unique_by=(lambda parts: unique_by(parts[0])) if unique_by else None)
+    return rows.map(lambda rows: "".join(map(render, rows)).encode())
 
 
 _weights = st.floats(1e-6, 1e6).flatmap(_decimal)
@@ -160,6 +165,10 @@ EDGE_FILES = _file(st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES)).fla
 ATTR_FILES = _file(st.tuples(st.sampled_from(NAMES), st.integers(0, 40).flatmap(
     lambda a: st.sampled_from([str(a), f"+{a}", f"0{a}"]))).flatmap(
     lambda na: st.one_of(st.just(list(na)), _weights.map(lambda x: [*na, x]))))
+# the plain "node attr" lines the scanner reads, each (node, attr) pair once
+PLAIN_ATTR_FILES = _file(st.tuples(st.sampled_from(NAMES), st.integers(0, 40).flatmap(
+    lambda a: st.sampled_from([str(a), f"0{a}"]))).map(list), st.just("\n"),
+    unique_by=lambda na: (na[0], int(na[1])))
 
 
 def _state(g: graph.AttributedGraph):
@@ -185,22 +194,33 @@ def test_edge_list_matches_records(data):
     _same_result(load_edge_list, load_edge_records, data)
 
 
-@given(ATTR_FILES)
-@settings(max_examples=150, deadline=None)
-def test_attribute_scanner_matches_records(data):
-    kind, want = _outcome(graph._load_attribute_records, data, _base_graph())
-    if kind == "ok":
-        g = _base_graph()
+def _scanned(data):
+    """The base graph with the scanner's attributes of ``data``, or None
+    where the scanner declines."""
+    g = _base_graph()
+    try:
         g.n_attrs, g.attr_node, g.attr_id, g.attr_value = graph._scan_sparse_attributes(data, g)
-        assert _state(g) == _state(want)
-    else:
-        with pytest.raises(graph._Declined):
-            graph._scan_sparse_attributes(data, _base_graph())
+    except graph._Declined:
+        return None
+    return g
+
+
+@given(ATTR_FILES, PLAIN_ATTR_FILES)
+@settings(max_examples=150, deadline=None)
+def test_attribute_scanner_matches_records(data, plain):
+    # on any input the scanner declines or matches, and declines what fails
+    kind, want = _outcome(graph._load_attribute_records, data, _base_graph())
+    got = _scanned(data)
+    assert got is None if kind == "error" else got is None or _state(got) == _state(want)
     _same_result(load_attributes, graph._load_attribute_records, data, _base_graph)
+    # plain two-field lines it reads itself
+    got = _scanned(plain)
+    assert got is not None
+    assert _state(got) == _state(graph._load_attribute_records(plain, _base_graph()))
 
 
-# the last two are wider than the scanner's integers (18 bytes) and decimals (32);
-# "\udcff" is written as the byte 0xff, which is not UTF-8
+# "9" * 19 is wider than the scanner's integers (18 bytes); "\udcff" is
+# written as the byte 0xff, which is not UTF-8
 CORRUPTIONS = ["x", "-1", "0", "nan", "inf", "1e999", "", "a b c d", "\u0663", "1_0x", "\udcff",
                "9" * 19, "0." + "0" * 30 + "1"]
 
@@ -233,28 +253,12 @@ def test_one_corrupted_line_raises_the_per_record_message(rows, draw):
                  ("\n".join(attrs) + "\n").encode(errors="surrogateescape"), _base_graph)
 
 
-def test_decimals_read_and_reject_as_float_does():
-    # the scanner's number grammar is numpy's bytes -> float64 cast; if a
-    # numpy release reads a token otherwise than float(), this fails
-    rng = np.random.default_rng(17)
-    alphabet = np.frombuffer(b"0123456789+-.eE_xXpinfatyINFATY", np.uint8)
-    p = np.r_[np.full(10, 6.0), np.ones(len(alphabet) - 10)]
-    lengths = rng.integers(1, 7, 100_000)
-    ends = np.cumsum(lengths)
-    text = rng.choice(alphabet, ends[-1], p=p / p.sum()).tobytes()
-    read, rejected = [], []
-    for token in (text[e - n:e] for e, n in zip(ends.tolist(), lengths.tolist())):
-        try:
-            read.append((token, float(token)))
-        except ValueError:
-            rejected.append(token)
-    assert len(read) > 30_000 and len(rejected) > 30_000
-    n = np.array([len(t) for t, _ in read])
-    got = graph._decimals(np.frombuffer(b"".join(t for t, _ in read), np.uint8), np.cumsum(n) - n, np.cumsum(n))
-    assert got.tobytes() == np.array([x for _, x in read]).tobytes()
-    for token in rejected:
-        with pytest.raises(graph._Declined):
-            graph._decimals(np.frombuffer(token, np.uint8), np.zeros(1, np.int64), np.array([len(token)]))
+@pytest.mark.parametrize("bad", CORRUPTIONS)
+def test_a_corrupted_plain_line_raises_the_per_record_message(bad):
+    # two-field lines reach the scanner, which declines what the records reject
+    data = f"0 1\n1 {bad}\n2 3\n".encode(errors="surrogateescape")
+    kind, message = _same_result(load_attributes, graph._load_attribute_records, data, _base_graph)
+    assert kind == "ok" or (message.startswith("attribute line 2:") and _scanned(data) is None)
 
 
 def test_edge_list_merges_duplicate_edges_as_records_add():
@@ -273,10 +277,25 @@ def test_scanner_blocks_split_on_newlines(monkeypatch):
     # tiny blocks, and a line longer than a block
     long_name = "long_name_" + "z" * 50
     g = load_edge_list(("".join(f"{i} {i + 1}\n" for i in range(40)) + f"0 {long_name}\n").encode())
-    text = "# head\n" + "".join(f"{i} {i % 7} {0.5 + i}\n" for i in range(40)) + f"{long_name} 3 2\n"
+    text = "# head\n" + "".join(f"{i} {i % 7}\n" for i in range(40)) + f"{long_name} 3\n"
     want = _state(graph._load_attribute_records(text.encode(), g))
     monkeypatch.setattr(graph, "_BLOCK_BYTES", 16)
     g.n_attrs, g.attr_node, g.attr_id, g.attr_value = graph._scan_sparse_attributes(text.encode(), g)
+    assert _state(g) == want
+
+
+@pytest.mark.parametrize("name", ["cora", "citeseer", "webkb", "adjnoun", "er"])
+def test_dataset_and_benchmark_attributes_take_the_scanner(name, data_root, tmp_path):
+    # their plain "node attr" lines must not fall back to the slower per-record parser
+    root = data_root / name
+    if name == "er":    # as the benchmark writes a workload's input, at a small size
+        root = tmp_path
+        subprocess.run([sys.executable, str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"),
+                        "er", str(root), "1", "1000", "10", "50", "3"], check=True)
+    g = load_edge_list(root / "edges.txt")
+    want = _state(graph._load_attribute_records(root / "attrs.txt", g))
+    g.n_attrs, g.attr_node, g.attr_id, g.attr_value = graph._scan_sparse_attributes(
+        (root / "attrs.txt").read_bytes(), g)
     assert _state(g) == want
 
 
