@@ -171,7 +171,7 @@ def ols_fit(x, y) -> FitResult | None:
 
 def _time_pipeline(g: AttributedGraph, spec: BenchSpec, seed: int):
     """Run construct/preprocess/walk/train once; returns stage seconds."""
-    wp = WalkParams(walk_length=WALK_LENGTH, walks_per_node=WALKS_PER_NODE, seed=seed)
+    wp = WalkParams(walk_length=WALK_LENGTH, walks_per_node=WALKS_PER_NODE, seed=seed, tau=spec.tau)
     tp = TrainParams(dimension=DIMENSION, window=WINDOW, epochs=EPOCHS, seed=seed)
     times = {}
     t0 = time.perf_counter()
@@ -179,7 +179,7 @@ def _time_pipeline(g: AttributedGraph, spec: BenchSpec, seed: int):
     times["construct"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    model = preprocess_transitions(ag, wp, tau=spec.tau)
+    model = preprocess_transitions(ag, wp)
     times["preprocess"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

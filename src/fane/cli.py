@@ -234,11 +234,9 @@ def _write_stats(path, ag) -> dict:
 
 
 def _walk_params(cfg) -> WalkParams:
-    if cfg["tau"] < 0:
-        raise ValueError("tau must be >= 0")
     return WalkParams(
-        p=cfg["p"], q=cfg["q"], r=cfg["r"], strategy=cfg["strategy"],
-        walk_length=cfg["walk_length"], walks_per_node=cfg["walks_per_node"], seed=cfg["seed"],
+        p=cfg["p"], q=cfg["q"], r=cfg["r"], strategy=cfg["strategy"], walk_length=cfg["walk_length"],
+        walks_per_node=cfg["walks_per_node"], seed=cfg["seed"], tau=cfg["tau"],
     )
 
 
@@ -250,12 +248,11 @@ def _train_params(cfg) -> TrainParams:
 
 
 def _eval_ratios(cfg) -> list[float]:
-    """The train ratios; a bad ratio, C or reps raises ValueError."""
-    if not cfg["C"] > 0:
-        raise ValueError(f"C must be positive, got {cfg['C']}")
-    if cfg["reps"] < 1:
-        raise ValueError(f"reps must be >= 1, got {cfg['reps']}")
-    return _parse_ratios(cfg["ratios"])
+    """The train ratios, once evaluate's own checks pass C and reps."""
+    ratios = _parse_ratios(cfg["ratios"])
+    ev.LinearSVM(cfg["C"])
+    ev.split(np.zeros(2), ratios[0], cfg["reps"], cfg["seed"])
+    return ratios
 
 
 def _classify(emb: EmbeddingMatrix, labels: dict, ratios, cfg, path):
@@ -293,8 +290,7 @@ def cmd_build(args, cfg) -> int:
 def cmd_walk(args, cfg) -> int:
     params = _walk_params(cfg)
     ag = build_augmented(AttributedGraph.load_dir(args.graph))
-    model = preprocess_transitions(ag, params, tau=cfg["tau"])
-    corpus = generate_corpus(ag, model)
+    corpus = generate_corpus(ag, preprocess_transitions(ag, params))
     with _artifact(args.out) as tmp:
         corpus.save(tmp)
     print(f"wrote {corpus.n_walks} walks of length {corpus.walk_length} to {args.out}")
@@ -397,7 +393,7 @@ def run_pipeline(cfg: dict, dry_run: bool = False) -> dict:
 
         stage = "walk"
         # the tables go once the corpus is walked, before train allocates
-        corpus = generate_corpus(ag, preprocess_transitions(ag, walk_params, tau=cfg["tau"]))
+        corpus = generate_corpus(ag, preprocess_transitions(ag, walk_params))
         if cfg["save_corpus"]:
             artifacts["corpus"] = out / "corpus.txt"
             with _artifact(artifacts["corpus"]) as tmp:

@@ -46,13 +46,13 @@ def _open_text(source):
             f.detach()
 
 
-# load_attributes reads a sparse attribute file's bytes once and parses its
-# plain "node attr" lines with numpy block by block: printable ASCII, two
-# fields, the index plain digits, LF line ends. On a value column, a CR, a
-# sign, any other byte, or any fault, it hands the same text to the per-record
-# parser, which gives the same matrix or names the bad line. load_edge_list and
-# load_labels parse per record: on edge and label files the scanner measured
-# no faster.
+# load_attributes reads a sparse attribute file's bytes once and parses the
+# plain "node attr" lines of datasets and of AttributedGraph.save with numpy,
+# block by block: printable ASCII, two fields, the index plain digits, LF line
+# ends. On a value column, a CR, a sign, any other byte, or any fault, it hands
+# the same text to the per-record parser, which gives the same matrix or names
+# the bad line. load_edge_list and load_labels parse per record: on edge and
+# label files the scanner measured no faster.
 
 # Bytes per block, each ending on a newline. 128 KB keeps one block's
 # temporaries below the key and order of the attribute sort, where the scanner
@@ -309,9 +309,10 @@ class AttributedGraph:
 
         nodemap.txt holds one "id name" line per node in id order, so
         :meth:`load_dir` reads back the same ids, names, edges, weights,
-        attributes and labels. A node name starting with '#' would begin a
-        comment line, so it raises GraphFormatError before any file is
-        written.
+        attributes and labels; attrs.txt leaves out a value of 1.0, so the
+        bulk scanner reads indicators. A node name starting with '#' would
+        begin a comment line, so it raises GraphFormatError before any file
+        is written.
         """
         for name in self.node_names:
             if name.startswith("#"):
@@ -327,7 +328,8 @@ class AttributedGraph:
         if self.nnz_attributes:
             with open(out / "attrs.txt", "w", encoding="utf-8") as f:
                 for v, a, x in zip(self.attr_node, self.attr_id, self.attr_value):
-                    f.write(f"{self.node_names[v]} {a} {float(x)!r}\n")
+                    value = "" if x == 1.0 else f" {float(x)!r}"
+                    f.write(f"{self.node_names[v]} {a}{value}\n")
         if self.labels:
             with open(out / "labels.txt", "w", encoding="utf-8") as f:
                 for v in sorted(self.labels):

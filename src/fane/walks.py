@@ -30,7 +30,7 @@ chunk size cannot change it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,7 +71,7 @@ _M32 = 0xFFFFFFFF
 
 @dataclass(frozen=True)
 class WalkParams:
-    """Walk configuration: biases (p, q, r), strategy, and corpus shape."""
+    """Walk configuration: biases (p, q, r), strategy, corpus shape, table threshold."""
 
     p: float = 1.0
     q: float = 1.0
@@ -80,6 +80,7 @@ class WalkParams:
     walk_length: int = 80
     walks_per_node: int = 10
     seed: int = 1
+    tau: int = 1024
 
     def __post_init__(self):
         if not (self.p > 0 and self.q > 0 and self.r > 0):
@@ -90,6 +91,8 @@ class WalkParams:
             raise ValueError("walk_length must be >= 2")
         if self.walks_per_node < 1:
             raise ValueError("walks_per_node must be >= 1")
+        if self.tau < 0:
+            raise ValueError("tau must be >= 0")
 
 
 def _damped(params: WalkParams, x_attr, v_attr):
@@ -151,8 +154,8 @@ class TransitionModel:
     CSR position e, or is -1 when deg(v) > tau (same for ``node_off`` and
     first steps). Those states are sampled by rejection from the proposal
     prefix sums of row v, ``sum_cum[sum_off[v]:sum_off[v] + deg(v)]``;
-    ``sum_off`` is -1 on rows with tables. ``tau`` is the threshold the
-    tables were built at, 0 when none were. An entry is a float64
+    ``sum_off`` is -1 on rows with tables. ``params.tau`` is the threshold
+    the tables were built at, 0 when none were. An entry is a float64
     acceptance and a uint16 alias column; offsets are int32. Both always
     suffice: the tables hold at most _MAX_TABLE_ENTRIES = 10**8 entries, so
     offsets stay below 2**31, and the deg(v)**2 among them of a tabled row
@@ -160,7 +163,6 @@ class TransitionModel:
     """
 
     params: WalkParams
-    tau: int
     node_off: np.ndarray
     node_accept: np.ndarray
     node_alias: np.ndarray
@@ -175,9 +177,10 @@ class TransitionModel:
         return len(self.node_accept) + len(self.edge_accept)
 
 
-def preprocess_transitions(g: AugmentedGraph, params: WalkParams, tau: int = 1024) -> TransitionModel:
+def preprocess_transitions(g: AugmentedGraph, params: WalkParams, tau: int | None = None) -> TransitionModel:
     """Build the sampler: alias tables for all states sampling over nodes of
     degree <= tau, and proposal prefix sums over every other node's row.
+    ``tau``, when given, replaces ``params.tau``.
 
     Each node v with deg(v) <= tau gets a first-step table and each edge
     (u -> v) one over N(v), equal bit for bit to ``build_alias`` of the
@@ -187,17 +190,16 @@ def preprocess_transitions(g: AugmentedGraph, params: WalkParams, tau: int = 102
     directed edge. Tables that would exceed ``_MAX_TABLE_ENTRIES`` entries
     are not built: a WARNING is logged and the model is that of tau=0.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    params = params if tau is None else replace(params, tau=tau)
     deg = np.diff(g.indptr)
     if not deg.all():
         raise ValueError(f"node {int(np.argmin(deg))} has no neighbors")
-    small = deg <= tau
+    small = deg <= params.tau
     node_entries = int(deg[small].sum())
     edge_entries = int((deg[small] * deg[small]).sum())
     if node_entries + edge_entries > _MAX_TABLE_ENTRIES:
         logger.warning("alias tables at tau=%d would need %d entries (budget %d); building none, "
-                       "as at tau=0", tau, node_entries + edge_entries, _MAX_TABLE_ENTRIES)
+                       "as at tau=0", params.tau, node_entries + edge_entries, _MAX_TABLE_ENTRIES)
         return preprocess_transitions(g, params, tau=0)
 
     node_off = np.full(g.n_total, -1, np.int32)
@@ -220,7 +222,7 @@ def preprocess_transitions(g: AugmentedGraph, params: WalkParams, tau: int = 102
         prev = np.searchsorted(g.indptr, edges, side="right") - 1
         _fill_tables(g, params, keys, prev, cur, edge_off[edges], edge_accept, edge_alias)
     sum_off, sum_cum = _proposal_sums(g, params, np.flatnonzero(~small))
-    return TransitionModel(params=params, tau=tau, node_off=node_off, node_accept=node_accept,
+    return TransitionModel(params=params, node_off=node_off, node_accept=node_accept,
                            node_alias=node_alias, edge_off=edge_off, edge_accept=edge_accept,
                            edge_alias=edge_alias, sum_off=sum_off, sum_cum=sum_cum)
 

@@ -388,7 +388,7 @@ def test_fane_seed_must_be_an_integer(dataset, tmp_path, monkeypatch, capsys):
     ("--p", "0", "p, q, r must all be positive", "walk", "--graph"),
     ("--tau", "-1", "tau must be >= 0", "walk", "--graph"),
     ("--C", "0", "C must be positive", "eval", "--embeddings"),
-    ("--reps", "0", "reps must be >= 1", "eval", "--embeddings"),
+    ("--reps", "0", "repetitions must be >= 1", "eval", "--embeddings"),
 ], ids=["dim", "p", "tau", "C", "reps"])
 def test_bad_settings_exit_2_before_any_stage(dataset, tmp_path, capsys, flag, value, message, command, source):
     """run checks every setting before the build stage, and each staged

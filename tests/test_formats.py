@@ -284,7 +284,7 @@ def test_scanner_blocks_split_on_newlines(monkeypatch):
     assert _state(g) == want
 
 
-@pytest.mark.parametrize("name", ["cora", "citeseer", "webkb", "adjnoun", "er"])
+@pytest.mark.parametrize("name", ["cora", "citeseer", "webkb", "adjnoun", "er", "bundle"])
 def test_dataset_and_benchmark_attributes_take_the_scanner(name, data_root, tmp_path):
     # their plain "node attr" lines must not fall back to the slower per-record parser
     root = data_root / name
@@ -292,6 +292,11 @@ def test_dataset_and_benchmark_attributes_take_the_scanner(name, data_root, tmp_
         root = tmp_path
         subprocess.run([sys.executable, str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"),
                         "er", str(root), "1", "1000", "10", "50", "3"], check=True)
+    if name == "bundle":    # what `fane build` writes and `fane walk` reads
+        root = tmp_path / "bundle"
+        cora = data_root / "cora"
+        assert main(["build", "--edges", str(cora / "edges.txt"), "--attrs", str(cora / "attrs.txt"),
+                     "--out", str(root)]) == 0
     g = load_edge_list(root / "edges.txt")
     want = _state(graph._load_attribute_records(root / "attrs.txt", g))
     g.n_attrs, g.attr_node, g.attr_id, g.attr_value = graph._scan_sparse_attributes(

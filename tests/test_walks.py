@@ -188,7 +188,7 @@ def test_tables_over_budget_fall_back_to_tau_zero(five_node_graph, monkeypatch, 
         model = preprocess_transitions(five_node_graph, params, tau=1024)
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
     assert f"would need {need} entries" in caplog.records[0].getMessage()
-    assert model.tau == 0 and model.n_precomputed_entries == 0
+    assert model.params.tau == 0 and model.n_precomputed_entries == 0
     assert np.all(model.node_off < 0) and np.all(model.edge_off < 0)
     want = generate_corpus(five_node_graph, preprocess_transitions(five_node_graph, params, tau=0))
     assert generate_corpus(five_node_graph, model).walks.tobytes() == want.walks.tobytes()
@@ -199,7 +199,7 @@ def test_attribute_heavy_graph_walks_at_default_tau():
     would need 1.5e9 entries, so the graph walks by rejection alone."""
     ag = build_augmented(attach_random_attributes(erdos_renyi(1000, 10, 1), 3000, 6000, 2))
     model = preprocess_transitions(ag, WalkParams(walk_length=5, walks_per_node=1))
-    assert model.tau == 0 and model.n_precomputed_entries == 0
+    assert model.params.tau == 0 and model.n_precomputed_entries == 0
     walks = generate_corpus(ag, model).walks
     assert walks.shape == (ag.n_total, 5)
     for walk in walks[::35]:
@@ -542,6 +542,20 @@ def test_walk_params_validation():
         WalkParams(walk_length=1)
     with pytest.raises(ValueError):
         WalkParams(strategy="bogus")
+
+
+def test_tau_is_a_walk_setting(five_node_graph):
+    """params.tau sets the table threshold; a tau argument replaces it and is
+    checked by WalkParams."""
+    with pytest.raises(ValueError, match="tau must be >= 0"):
+        WalkParams(tau=-1)
+    with pytest.raises(ValueError, match="tau must be >= 0"):
+        preprocess_transitions(five_node_graph, WalkParams(), tau=-1)
+    params = WalkParams(p=2.0, seed=7, tau=0)
+    model = preprocess_transitions(five_node_graph, params)
+    assert model.params == params and model.n_precomputed_entries == 0
+    model = preprocess_transitions(five_node_graph, params, tau=1024)
+    assert model.params == WalkParams(p=2.0, seed=7) and model.n_precomputed_entries > 0
 
 
 def test_corpus_save_bytes_match_per_token_writer(five_node_graph, data_root, tmp_path):
